@@ -17,9 +17,11 @@ was executed -- which is what makes the regression compare meaningful.
 from repro.bench.cases import (
     BenchCase,
     collision_cases,
+    combined_cases,
     end_to_end_cases,
     kernel_cases,
     run_suite,
+    tracked_cases,
 )
 from repro.bench.snapshot import (
     BenchFormatError,
@@ -40,6 +42,7 @@ __all__ = [
     "Comparison",
     "TimingStats",
     "collision_cases",
+    "combined_cases",
     "compare",
     "end_to_end_cases",
     "kernel_cases",
@@ -47,4 +50,5 @@ __all__ = [
     "parse_threshold",
     "run_suite",
     "snapshot_filename",
+    "tracked_cases",
 ]

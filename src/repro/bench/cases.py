@@ -6,7 +6,10 @@ Two tiers:
   simulated over the same gcc/ref trace with ``kernel="reference"``
   versus ``kernel="fast"``.  The pairing is the point -- the ratio of
   the two rows is the speedup the fast kernels buy, and the fast rows
-  are what the CI regression gate protects.
+  are what the CI regression gate protects.  The ``combined/`` pair
+  replays a ``static_acc`` combined gshare (hints selected outside the
+  timed region) and the ``tracked/`` pair a collision-tracked gshare:
+  the two kernel paths the figure sweeps spend their time in.
 * **End-to-end benches** (skipped by ``--quick``): a full two-phase
   ``ExperimentContext.run`` configuration, measuring what an experiment
   cell actually costs, combined-predictor overhead and all.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.bench.snapshot import BenchResult, BenchSnapshot
 from repro.bench.timing import measure
-from repro.core.simulator import simulate
+from repro.core.simulator import run_combined, simulate
 from repro.experiments.common import KIB, ExperimentContext
 from repro.kernels import numpy_available
 from repro.predictors.sizing import make_predictor
@@ -40,12 +43,14 @@ __all__ = [
     "QUICK_TRACE_LENGTH",
     "WARMUP",
     "collision_cases",
+    "combined_cases",
     "end_to_end_cases",
     "kernel_cases",
     "profiling_cases",
     "replay_cases",
     "run_suite",
     "service_cases",
+    "tracked_cases",
 ]
 
 DEFAULT_TRACE_LENGTH = 200_000
@@ -73,7 +78,21 @@ class BenchCase:
     @property
     def end_to_end(self) -> bool:
         """Whether the case runs the full two-phase experiment flow."""
-        return self.scheme != "none"
+        return self.name.startswith("e2e/")
+
+
+def _pairs(prefix: str, predictor: str, include_fast: bool | None,
+           scheme: str = "none") -> tuple[BenchCase, ...]:
+    """A ``<prefix>/reference`` case, plus ``<prefix>/fast`` when
+    ``include_fast`` (``None`` probes numpy availability)."""
+    if include_fast is None:
+        include_fast = numpy_available()
+    kernels = ("reference", "fast") if include_fast else ("reference",)
+    return tuple(
+        BenchCase(f"{prefix}/{kernel}", predictor, _SIZE_BYTES, kernel,
+                  scheme=scheme)
+        for kernel in kernels
+    )
 
 
 def kernel_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
@@ -82,13 +101,9 @@ def kernel_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
     ``include_fast=None`` probes numpy availability; passing an explicit
     boolean makes the suite deterministic for tests.
     """
-    if include_fast is None:
-        include_fast = numpy_available()
-    kernels = ("reference", "fast") if include_fast else ("reference",)
     return tuple(
-        BenchCase(f"{family}/{kernel}", family, _SIZE_BYTES, kernel)
-        for family in _FAMILIES
-        for kernel in kernels
+        case for family in _FAMILIES
+        for case in _pairs(family, family, include_fast)
     )
 
 
@@ -100,31 +115,31 @@ def profiling_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
     :meth:`~repro.profiling.profile.ProgramProfile.from_trace` pass,
     and the ratio is the phase-one speedup.
     """
-    if include_fast is None:
-        include_fast = numpy_available()
-    kernels = ("reference", "fast") if include_fast else ("reference",)
-    return tuple(
-        BenchCase(f"profile/{kernel}", "bimodal", _SIZE_BYTES, kernel)
-        for kernel in kernels
-    )
+    return _pairs("profile", "bimodal", include_fast)
 
 
 def collision_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
-    """The collision-attribution pair: scalar loop versus index snapshot.
+    """The collision-attribution pair: scalar loop versus kernel replay.
 
     ``collision/reference`` runs the per-event victim/aggressor loop,
     ``collision/fast`` the vectorized
     :func:`~repro.profiling.collision_profile.measure_collision_involvement`
-    path (index snapshot + stable sort + bincounts); the ratio is the
-    collision-phase speedup of the static_collision selection flow.
+    path (the replay's victim/aggressor pairs + bincounts); the ratio is
+    the collision-phase speedup of the static_collision selection flow.
     """
-    if include_fast is None:
-        include_fast = numpy_available()
-    kernels = ("reference", "fast") if include_fast else ("reference",)
-    return tuple(
-        BenchCase(f"collision/{kernel}", "gshare", _SIZE_BYTES, kernel)
-        for kernel in kernels
-    )
+    return _pairs("collision", "gshare", include_fast)
+
+
+def combined_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+    """The combined-predictor pair: a ``static_acc`` gshare (NO_SHIFT)
+    on the reference loop versus its fast kernel replay."""
+    return _pairs("combined", "gshare", include_fast, scheme="static_acc")
+
+
+def tracked_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+    """The collision-tracked pair: ``track_collisions=True`` gshare on
+    the reference loop's tag tracker versus the scan's tag check."""
+    return _pairs("tracked", "gshare", include_fast)
 
 
 def replay_cases() -> tuple[BenchCase, ...]:
@@ -229,6 +244,20 @@ def _case_runner(case: BenchCase, ctx: ExperimentContext):
             simulate(pinned, predictor, kernel=case.kernel)
         return run
     trace = ctx.trace(_PROGRAM, _INPUT)
+    if case.name.startswith("combined/"):
+        hints = ctx.hints(_PROGRAM, case.scheme, predictor_name=case.predictor,
+                          size_bytes=case.size_bytes, profile_input=_INPUT)
+
+        def run() -> None:
+            predictor = make_predictor(case.predictor, case.size_bytes)
+            run_combined(trace, predictor, hints, kernel=case.kernel)
+        return run
+    if case.name.startswith("tracked/"):
+        def run() -> None:
+            predictor = make_predictor(case.predictor, case.size_bytes)
+            simulate(trace, predictor, track_collisions=True,
+                     kernel=case.kernel)
+        return run
     if case.name.startswith("collision/"):
         from repro.profiling.collision_profile import (
             _measure_collision_involvement_scalar,
@@ -273,7 +302,8 @@ def run_suite(
     if repeats is None:
         repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
     ctx = ExperimentContext(trace_length=trace_length, kernel="auto")
-    cases = (kernel_cases() + profiling_cases() + collision_cases()
+    cases = (kernel_cases() + combined_cases() + tracked_cases()
+             + profiling_cases() + collision_cases()
              + replay_cases() + service_cases())
     if not quick:
         cases = cases + end_to_end_cases()

@@ -24,12 +24,14 @@ from repro.core.metrics import SimulationResult
 from repro.errors import SelectionError
 from repro.kernels import try_fast_simulate, validate_kernel_mode
 from repro.predictors.base import BranchPredictor
-from repro.predictors.collisions import CollisionTracker
+from repro.predictors.collisions import CollisionCounts, CollisionTracker
 from repro.profiling.accuracy import measure_accuracy
 from repro.profiling.collision_profile import measure_collision_involvement
 from repro.profiling.profile import ProgramProfile
 from repro.staticpred.hints import HintAssignment
+from repro.staticpred.iterative import select_static_iterative
 from repro.staticpred.selection import (
+    SELECTION_SCHEMES,
     select_static_95,
     select_static_acc,
     select_static_collision,
@@ -90,20 +92,23 @@ def simulate(
 
     ``kernel`` selects the execution strategy (see :mod:`repro.kernels`
     for the modes and the bit-identical contract); it never changes a
-    result, only how fast it is produced.  Collision tracking observes
-    every individual lookup, so it always runs the reference loop.
+    result, only how fast it is produced.  Collision tracking runs on
+    the fast kernels too: their counts equal the tag tracker's.
     """
     validate_kernel_mode(kernel)
-    tracker = CollisionTracker(predictor) if track_collisions else None
+    collision_counts = CollisionCounts() if track_collisions else None
 
     mispredictions = None
-    if tracker is None and kernel != "reference":
+    if kernel != "reference":
         mispredictions = try_fast_simulate(
-            trace, predictor, require=kernel == "fast"
+            trace, predictor, require=kernel == "fast",
+            collisions=collision_counts,
         )
     if mispredictions is None:
+        tracker = CollisionTracker(predictor) if track_collisions else None
         mispredictions = _reference_loop(trace, predictor, tracker)
-    collision_counts = tracker.counts if tracker is not None else None
+        if tracker is not None:
+            collision_counts = tracker.counts
 
     static_branches = 0
     static_mispredictions = 0
@@ -138,11 +143,13 @@ def run_selection_phase(
 ) -> HintAssignment:
     """Phase one: produce the static hint database.
 
-    ``scheme`` is one of ``"none"``, ``"static_95"``, ``"static_acc"``,
-    ``"static_fac"``.  The accuracy-based schemes simulate a *fresh*
-    predictor from ``predictor_factory`` over the profiling trace --
-    matching the paper, where the selection simulation uses the same
-    dynamic configuration as the measurement run.
+    ``scheme`` is one of
+    :data:`~repro.staticpred.selection.SELECTION_SCHEMES`.  The
+    accuracy-based schemes simulate a *fresh* predictor from
+    ``predictor_factory`` over the profiling trace -- matching the
+    paper, where the selection simulation uses the same dynamic
+    configuration as the measurement run; ``static_collision`` and
+    ``static_iter`` need the factory for the same reason.
 
     ``profile`` overrides the bias profile (used by cross-training
     experiments that select from a merged/filtered Spike database rather
@@ -186,9 +193,19 @@ def run_selection_phase(
         return select_static_collision(
             profile, collisions, shift_history=shift_history, **kwargs
         )
+    if scheme == "static_iter":
+        if predictor_factory is None:
+            raise SelectionError(
+                "scheme 'static_iter' needs a predictor_factory to simulate "
+                "the combined predictor each round"
+            )
+        return select_static_iterative(
+            profile_trace, predictor_factory, profile=profile,
+            shift_history=shift_history, **kwargs
+        )
     raise SelectionError(
         f"unknown selection scheme {scheme!r}; expected one of "
-        "none, static_95, static_acc, static_fac, static_collision"
+        + ", ".join(SELECTION_SCHEMES)
     )
 
 
@@ -202,9 +219,9 @@ def run_combined(
 ) -> SimulationResult:
     """Phase two: measure the combined predictor on the measurement trace.
 
-    ``kernel`` is passed through to :func:`simulate`; a combined
-    predictor has no fast kernel today, so every mode currently runs
-    the reference loop, but the knob keeps the call sites uniform.
+    ``kernel`` is passed through to :func:`simulate`: a combined
+    predictor replays on its dynamic predictor's fast kernel when that
+    family has one, under every shift policy.
     """
     combined = CombinedPredictor(dynamic, hints, shift_policy=shift_policy)
     scheme = hints.scheme

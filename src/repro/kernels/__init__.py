@@ -8,14 +8,19 @@ whole :class:`~repro.workloads.trace.BranchTrace` in a handful of array
 passes, under one non-negotiable contract:
 
 **A fast kernel is bit-identical to the reference loop.**  Same
-misprediction count, same final counter-table state, same history
-register, same ``_PREDICT_STATE``.  Kernels are an execution detail,
-never an experiment parameter -- which is why the runner's result-cache
-keys deliberately exclude the kernel mode.
+misprediction count, same collision counts, same final counter-table
+state, same history register, same ``_PREDICT_STATE``.  Kernels are an
+execution detail, never an experiment parameter -- which is why the
+runner's result-cache keys deliberately exclude the kernel mode.
 
 Dispatch is by exact predictor type (subclasses may override
-``predict``/``update``, so they fall back), selected by the
-``kernel`` knob on :func:`repro.core.simulator.simulate`:
+``predict``/``update``, so they fall back).  A
+:class:`~repro.core.combined.CombinedPredictor` wrapping a
+kernel-backed family replays on that family's kernel under every
+:class:`~repro.arch.isa.ShiftPolicy`, and collision tracking rides on
+the kernels' own sort (see :mod:`repro.kernels.scan`).  The mode is
+selected by the ``kernel`` knob on
+:func:`repro.core.simulator.simulate`:
 
 ``"auto"``
     Use a fast kernel when numpy is importable and the predictor has
@@ -23,8 +28,8 @@ Dispatch is by exact predictor type (subclasses may override
 ``"fast"``
     Like ``"auto"`` but a missing numpy is a
     :class:`~repro.errors.ConfigurationError` instead of a silent
-    fallback.  Predictors with no kernel (combined predictors, gskew,
-    ...) still use the reference loop.
+    fallback.  Predictors with no kernel (bimode, 2bcgskew, ...) and
+    combined predictors wrapping one still use the reference loop.
 ``"reference"``
     Always run the per-branch loop (the baseline the differential
     tests and `repro bench` compare against).
@@ -39,6 +44,7 @@ from repro.errors import ConfigurationError
 from repro.kernels import dynamic
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.collisions import CollisionCounts
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.workloads.trace import BranchTrace
@@ -47,7 +53,6 @@ __all__ = [
     "KERNEL_MODES",
     "has_fast_kernel",
     "numpy_available",
-    "try_fast_indices",
     "try_fast_predictions",
     "try_fast_simulate",
     "validate_kernel_mode",
@@ -65,12 +70,6 @@ _PREDICTION_KERNELS = {
     BimodalPredictor: dynamic.predictions_bimodal,
     GsharePredictor: dynamic.predictions_gshare,
     GhistPredictor: dynamic.predictions_ghist,
-}
-
-_INDEX_KERNELS = {
-    BimodalPredictor: dynamic.indices_bimodal,
-    GsharePredictor: dynamic.indices_gshare,
-    GhistPredictor: dynamic.indices_ghist,
 }
 
 
@@ -105,15 +104,40 @@ def _within_limits(predictor: BranchPredictor, trace: BranchTrace) -> bool:
     return True
 
 
+def _family(predictor: BranchPredictor) -> BranchPredictor:
+    """The predictor whose counter table a kernel replays: the wrapped
+    dynamic predictor of a combined predictor, else ``predictor``."""
+    # Imported here: repro.core's simulator imports this package.
+    from repro.core.combined import CombinedPredictor
+
+    if type(predictor) is CombinedPredictor:
+        return predictor.dynamic
+    return predictor
+
+
+def _numpy_ready(require: bool) -> bool:
+    """numpy importability; with ``require`` its absence raises."""
+    if numpy_available():
+        return True
+    if require:
+        raise ConfigurationError(
+            "kernel='fast' requires numpy, which is not importable; "
+            "use kernel='auto' to fall back to the reference loop"
+        )
+    return False
+
+
 def has_fast_kernel(predictor: BranchPredictor) -> bool:
-    """True when ``predictor`` is exactly a kernel-backed family."""
-    return type(predictor) in _KERNELS
+    """True when ``predictor`` is exactly a kernel-backed family, or a
+    combined predictor wrapping one."""
+    return type(_family(predictor)) in _KERNELS
 
 
 def try_fast_simulate(
     trace: BranchTrace,
     predictor: BranchPredictor,
     require: bool = False,
+    collisions: CollisionCounts | None = None,
 ) -> int | None:
     """Replay ``trace`` through a fast kernel, if one applies.
 
@@ -122,63 +146,45 @@ def try_fast_simulate(
     no kernel applies and the caller should run the reference loop.
     With ``require=True`` (the ``kernel="fast"`` knob) a missing numpy
     raises instead of falling back.
+
+    With ``collisions``, the replay also runs the tag-check
+    instrumentation of Figures 1-6 and adds exactly what a fresh
+    :class:`~repro.predictors.collisions.CollisionTracker` would have
+    counted to that record (left untouched when ``None`` is returned).
     """
-    if not numpy_available():
-        if require:
-            raise ConfigurationError(
-                "kernel='fast' requires numpy, which is not importable; "
-                "use kernel='auto' to fall back to the reference loop"
-            )
+    if not _numpy_ready(require):
         return None
-    kernel = _KERNELS.get(type(predictor))
-    if kernel is None or not _within_limits(predictor, trace):
+    family = _family(predictor)
+    kernel = _KERNELS.get(type(family))
+    if kernel is None or not _within_limits(family, trace):
         return None
-    return kernel(trace, predictor)
+    return kernel(trace, predictor, collisions)
 
 
 def try_fast_predictions(
     trace: BranchTrace,
     predictor: BranchPredictor,
     require: bool = False,
+    return_collisions: bool = False,
 ):
     """Replay ``trace``, returning the per-event prediction array.
 
-    The accuracy-profiling twin of :func:`try_fast_simulate`: same
-    dispatch, same limit guards, same state-advance contract, but the
+    The profiling twin of :func:`try_fast_simulate`: same limit guards,
+    same state-advance contract, but bare predictors only, and the
     result is a numpy bool array of each event's prediction (compare
     against ``trace.arrays()[1]`` for correctness per branch) instead
-    of the misprediction total.  Returns ``None`` when no kernel
-    applies and the caller should run the reference loop.
+    of the misprediction total.  With ``return_collisions`` the result
+    is ``(predictions, victims, aggressors)``, the last two from the
+    scan's tag check (see :func:`repro.kernels.scan.scan_counters`).
+    Returns ``None`` when no kernel applies and the caller should run
+    the reference loop.
     """
-    if not numpy_available():
-        if require:
-            raise ConfigurationError(
-                "kernel='fast' requires numpy, which is not importable; "
-                "use kernel='auto' to fall back to the reference loop"
-            )
+    if not _numpy_ready(require):
         return None
     kernel = _PREDICTION_KERNELS.get(type(predictor))
     if kernel is None or not _within_limits(predictor, trace):
         return None
-    return kernel(trace, predictor)
-
-
-def try_fast_indices(
-    trace: BranchTrace,
-    predictor: BranchPredictor,
-):
-    """Per-event counter-table indices, if a kernel applies.
-
-    The collision-profiling companion of
-    :func:`try_fast_predictions`: same dispatch, same limit guards, but
-    *pure* -- no predictor state is advanced, so callers that need both
-    arrays take the index snapshot first (the history-indexed families
-    fold the register's current value into the windows) and then run
-    the prediction kernel.  Returns ``None`` when no kernel applies.
-    """
-    if not numpy_available():
-        return None
-    kernel = _INDEX_KERNELS.get(type(predictor))
-    if kernel is None or not _within_limits(predictor, trace):
-        return None
-    return kernel(trace, predictor)
+    replay = kernel(trace, predictor, return_collisions)
+    if return_collisions:
+        return (replay.predictions, *replay.collisions)
+    return replay.predictions

@@ -35,6 +35,13 @@ and the final counter states it writes back are bit-identical to the
 reference ``predict``/``update`` loop, including warm (non-initial)
 starting states.  ``tests/test_kernels.py`` enforces that contract
 differentially against randomized traces.
+
+The same stable sort also answers the paper's collision question
+(Section 5: a tag per counter holds "the address of the last branch
+using that counter").  Within a counter's segment the event before
+``i`` *is* the counter's previous user, so the tag check reduces to one
+compare of neighbouring sorted addresses -- no second sort, no per-event
+tag array.
 """
 
 from __future__ import annotations
@@ -60,7 +67,8 @@ def _sort_key_dtype(numpy, entries: int):
     return numpy.int32
 
 
-def scan_counters(indices, outcomes, base, max_value, threshold):
+def scan_counters(indices, outcomes, base, max_value, threshold,
+                  addresses=None):
     """Run every counter of one table through its events, vectorized.
 
     Parameters
@@ -79,17 +87,27 @@ def scan_counters(indices, outcomes, base, max_value, threshold):
         Saturation ceiling of the table (``2**bits - 1``).
     threshold:
         Counter values ``>= threshold`` predict taken.
+    addresses:
+        Optional integer array, shape ``(n,)``: each event's full branch
+        address.  When given, the scan also runs the collision tag check.
 
     Returns
     -------
-    Bool array, shape ``(n,)``, in trace order: the prediction each
-    event saw, exactly as the reference loop would have produced it.
+    ``(predictions, collisions)``.  ``predictions`` is a bool array,
+    shape ``(n,)``, in trace order: the prediction each event saw,
+    exactly as the reference loop would have produced it.
+    ``collisions`` is ``None`` without ``addresses``; otherwise it is
+    ``(victims, aggressors)``, two aligned arrays of trace positions:
+    every event whose counter was last used by a different address, and
+    that previous user.
     """
     import numpy
 
     n = indices.shape[0]
     if n == 0:
-        return numpy.zeros(0, dtype=numpy.bool_)
+        empty = numpy.zeros(0, dtype=numpy.intp)
+        collisions = None if addresses is None else (empty, empty)
+        return numpy.zeros(0, dtype=numpy.bool_), collisions
 
     if max_value <= _INT8_MAX_VALUE:
         value_dtype = numpy.int8
@@ -167,4 +185,14 @@ def scan_counters(indices, outcomes, base, max_value, threshold):
 
     ends = bounds[1:] - 1
     base[sidx_p[ends]] = after[ends]
-    return predictions
+    if addresses is None:
+        return predictions, None
+
+    # A segment's head is its counter's first use in this replay, which
+    # finds the tag empty (tags start empty every run); every later
+    # event collides when its predecessor in the segment -- the
+    # counter's previous user -- has a different address.
+    saddr = addresses[order]
+    collided = saddr[1:] != saddr[:-1]
+    collided &= ~seg_start[1:]
+    return predictions, (order[1:][collided], order[:-1][collided])

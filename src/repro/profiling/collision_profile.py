@@ -100,13 +100,12 @@ def measure_collision_involvement(
     instance.
 
     Kernel-backed predictor families take a vectorized path: the
-    per-event counter indices come from
-    :func:`repro.kernels.try_fast_indices` (snapshotted *before* the
-    prediction kernel advances the history register), the previous user
-    of each counter from one stable sort over those indices, and the
-    per-branch charges from bincounts.  Bit-identical to the reference
-    loop below, including the profile's first-occurrence insertion
-    order.
+    predictions and every collision's victim and aggressor come from
+    one :func:`repro.kernels.try_fast_predictions` replay (the previous
+    user of each counter falls out of the scan's own sort by counter
+    index), and the per-branch charges from bincounts.  Bit-identical
+    to the reference loop below, including the profile's
+    first-occurrence insertion order.
     """
     records = _fast_collision_records(trace, predictor)
     if records is None:
@@ -121,39 +120,24 @@ def _fast_collision_records(
 ) -> dict[int, CollisionInvolvement] | None:
     """Vectorized victim/aggressor attribution, or None (no kernel).
 
-    The single-table families access exactly one counter per event (the
-    index the kernels compute), so the scalar loop's tag array reduces
-    to "the previous event with my index": a stable argsort groups
-    events by index, and within a group each event's predecessor held
-    the tag.  A collision is a predecessor with a different address;
-    the victim and that one aggressor are each charged once, on the
-    victim's correctness.
+    The single-table families access exactly one counter per event, so
+    the scalar loop's tag array reduces to "the previous event with my
+    counter", which the replay's scan reports as aligned victim and
+    aggressor positions.  The victim and that one aggressor are each
+    charged once, on the victim's correctness.
     """
-    from repro.kernels import try_fast_indices, try_fast_predictions
+    from repro.kernels import try_fast_predictions
 
-    indices = try_fast_indices(trace, predictor)
-    if indices is None:
-        return None
-    predictions = try_fast_predictions(trace, predictor)
-    if predictions is None:
-        # Dispatch and guards match try_fast_indices, so this cannot
-        # happen today -- but the index snapshot is pure, so falling
-        # back to the reference loop stays correct if it ever does.
+    replay = try_fast_predictions(trace, predictor, return_collisions=True)
+    if replay is None:
         return None
     import numpy
 
+    predictions, victims, aggressors = replay
     addresses, outcomes = trace.arrays()
     n = addresses.shape[0]
     if n == 0:
         return {}
-    correct = predictions == outcomes
-
-    # Previous user of each event's counter (-1 = counter untouched).
-    sidx = numpy.argsort(indices, kind="stable")
-    same = indices[sidx[1:]] == indices[sidx[:-1]]
-    prev = numpy.full(n, -1, dtype=sidx.dtype)
-    prev[sidx[1:][same]] = sidx[:-1][same]
-    colliding = (prev >= 0) & (addresses[prev] != addresses)
 
     # Factorize addresses into ids ranked by first occurrence, so the
     # records dict below iterates in the scalar loop's insertion order
@@ -176,10 +160,9 @@ def _fast_collision_records(
     ids[saddr] = rank[group_of_sorted]
 
     executions = numpy.bincount(ids, minlength=groups)
-    col = numpy.flatnonzero(colliding)
-    col_correct = correct[col]
-    victim_ids = ids[col]
-    aggressor_ids = ids[prev[col]]
+    col_correct = predictions[victims] == outcomes[victims]
+    victim_ids = ids[victims]
+    aggressor_ids = ids[aggressors]
     constructive = (
         numpy.bincount(victim_ids[col_correct], minlength=groups)
         + numpy.bincount(aggressor_ids[col_correct], minlength=groups)

@@ -14,7 +14,8 @@ into anything result-shaped.  Finished entries are evicted when polled
 with ``result`` (or when the table passes its bound, oldest first).
 
 Graceful shutdown drains: the listener closes (new connections refused),
-the scheduler runs its queue dry, the worker pool shuts down, and the
+the scheduler runs its queue dry, the worker pool shuts down, every
+open connection is closed once its pending replies are sent, and the
 final stats payload -- the same one the ``stats`` message serves -- is
 persisted through the atomic-write seam so a supervisor can read the
 run's counters after the process is gone.
@@ -101,6 +102,10 @@ class PredictorService:
         self._server: asyncio.AbstractServer | None = None
         self._ids = itertools.count(1)
         self._registry: dict[int, asyncio.Task] = {}
+        # Live connection handlers -> (writer, in-flight message tasks).
+        self._handlers: dict[
+            asyncio.Task, tuple[asyncio.StreamWriter, set[asyncio.Task]]
+        ] = {}
         self._shutdown = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------
@@ -130,18 +135,20 @@ class PredictorService:
         """Graceful drain (see module docstring)."""
         if self._server is not None:
             self._server.close()
-            try:
-                # 3.12 makes wait_closed also wait for open client
-                # connections; a lingering idle client must not be able
-                # to wedge the drain, so the wait is bounded.
-                await asyncio.wait_for(self._server.wait_closed(), 5.0)
-            except asyncio.TimeoutError:
-                pass
-            self._server = None
         for task in list(self._registry.values()):
             if not task.done():
                 await asyncio.wait({task})
         await self.scheduler.stop()
+        await self._close_connections()
+        if self._server is not None:
+            try:
+                # 3.12 makes wait_closed also wait for open client
+                # connections; they are closed above, but the wait stays
+                # bounded so nothing can wedge the drain.
+                await asyncio.wait_for(self._server.wait_closed(), 5.0)
+            except asyncio.TimeoutError:
+                pass
+            self._server = None
         if stats_path is not None:
             atomic_write_json(stats_path, self.stats_payload(), indent=2)
 
@@ -168,6 +175,8 @@ class PredictorService:
         self.connections += 1
         lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        handler = asyncio.current_task()
+        self._handlers[handler] = (writer, tasks)
         try:
             while True:
                 try:
@@ -195,6 +204,23 @@ class PredictorService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            self._handlers.pop(handler, None)
+
+    async def _close_connections(self) -> None:
+        """Finish every connection handler, pending replies first.
+
+        A handler still waiting in ``readline()`` when the event loop
+        shuts down gets cancelled, and Python 3.11's stream callback
+        then logs the ``CancelledError`` as a traceback.  Closing each
+        connection once its in-flight replies are written ends the read
+        with EOF, so every handler returns normally.
+        """
+        for writer, tasks in list(self._handlers.values()):
+            if tasks:
+                await asyncio.wait(set(tasks))
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(set(self._handlers), timeout=5.0)
 
     async def _send(
         self,

@@ -86,6 +86,7 @@ def select_static_iterative(
     max_rounds: int = 4,
     min_executions: int = DEFAULT_MIN_EXECUTIONS,
     profile: ProgramProfile | None = None,
+    shift_history: bool = False,
 ) -> HintAssignment:
     """Run Lindsay's iterative select-simulate loop to a fixpoint.
 
@@ -93,6 +94,9 @@ def select_static_iterative(
     the accumulated hints and add branches whose bias still beats the
     dynamic side's (now relieved) accuracy.  Returns the accumulated
     assignment, whose scheme name records the number of rounds run.
+    ``shift_history`` sets every selected hint's shift bit, as the
+    single-pass selectors do; the rounds simulate under NO_SHIFT, where
+    the bit is inert, so it never changes which branches are selected.
     """
     if max_rounds < 1:
         raise SelectionError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -120,7 +124,8 @@ def select_static_iterative(
             if executions == 0:
                 continue
             if branch.bias > correct / executions:
-                hints.set(address, HintBits.static(branch.majority_taken))
+                hints.set(address, HintBits.static(
+                    branch.majority_taken, shift_history=shift_history))
                 added += 1
         rounds_run += 1
         if added == 0:

@@ -8,10 +8,12 @@ import pytest
 
 from repro.bench.cases import (
     collision_cases,
+    combined_cases,
     kernel_cases,
     profiling_cases,
     replay_cases,
     run_suite,
+    tracked_cases,
 )
 from repro.bench.snapshot import (
     FORMAT_HEADER,
@@ -148,6 +150,17 @@ class TestSuite:
         without = [case.name for case in collision_cases(include_fast=False)]
         assert without == ["collision/reference"]
 
+    def test_combined_and_tracked_cases_pair_reference_and_fast(self):
+        combined = combined_cases(include_fast=True)
+        assert [case.name for case in combined] \
+            == ["combined/reference", "combined/fast"]
+        assert all(case.scheme == "static_acc" and not case.end_to_end
+                   for case in combined)
+        names = [case.name for case in tracked_cases(include_fast=True)]
+        assert names == ["tracked/reference", "tracked/fast"]
+        without = [case.name for case in tracked_cases(include_fast=False)]
+        assert without == ["tracked/reference"]
+
     def test_replay_cases_pure_simulation(self):
         names = [case.name for case in replay_cases()]
         assert names == ["replay/gshare"]
@@ -160,6 +173,7 @@ class TestSuite:
         assert "profile/reference" in cases
         assert "replay/gshare" in cases
         assert "service/roundtrip" in cases
+        assert {"combined/fast", "tracked/fast"} <= cases
         assert all(entry.median_s > 0.0 for entry in snap.results)
         # Service cases time one request (branches=1, so branches/s
         # reads as requests/s); everything else counts the trace.

@@ -10,10 +10,12 @@ from repro.core.metrics import SimulationResult, improvement
 from repro.core.simulator import run_combined, run_selection_phase, simulate
 from repro.core.sweep import run_configuration, size_sweep
 from repro.errors import SelectionError
+from repro.experiments.common import ExperimentContext
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.staticpred.hints import HintAssignment
+from repro.staticpred.selection import SELECTION_SCHEMES
 from repro.workloads.trace import BranchTrace
 
 
@@ -217,6 +219,43 @@ class TestRunSelectionPhase:
         with pytest.raises(SelectionError):
             run_selection_phase(trace, "static_magic")
 
+    @pytest.mark.parametrize("scheme", SELECTION_SCHEMES)
+    def test_every_advertised_scheme_is_accepted(self, scheme):
+        records = [(0x1000, True), (0x1000, False)] * 50
+        records += [(0x2000, True)] * 60
+        hints = run_selection_phase(
+            make_trace(records), scheme,
+            predictor_factory=lambda: BimodalPredictor(64),
+        )
+        assert isinstance(hints, HintAssignment)
+
+    def test_static_iter_matches_experiment_context(self):
+        ctx = ExperimentContext(trace_length=4000, site_scale=0.02, seed=3)
+        trace = ctx.trace("gcc", "ref")
+        hints = run_selection_phase(
+            trace, "static_iter",
+            predictor_factory=ctx.predictor_factory("gshare", 1024),
+        )
+        expected = ctx.hints("gcc", "static_iter", predictor_name="gshare",
+                             size_bytes=1024)
+        assert hints.static_count() > 0
+        assert hints.scheme == expected.scheme
+        assert hints.to_json() == expected.to_json()
+
+    def test_static_iter_needs_factory(self):
+        with pytest.raises(SelectionError, match="predictor_factory"):
+            run_selection_phase(make_trace([(0x1000, True)]), "static_iter")
+
+    def test_static_iter_stamps_shift_bit(self):
+        ctx = ExperimentContext(trace_length=4000, site_scale=0.02, seed=3)
+        hints = run_selection_phase(
+            ctx.trace("gcc", "ref"), "static_iter",
+            predictor_factory=ctx.predictor_factory("gshare", 1024),
+            shift_history=True,
+        )
+        assert hints.static_count() > 0
+        assert all(hint.shift_history for hint in hints.hints.values())
+
     def test_profile_override(self):
         from repro.profiling.profile import BranchProfile, ProgramProfile
 
@@ -306,6 +345,15 @@ class TestSweep:
             gcc_trace, gcc_trace, "gshare", 1024, "static_95"
         )
         assert result.static_branches > 0
+
+    def test_run_configuration_static_iter(self):
+        ctx = ExperimentContext(trace_length=4000, site_scale=0.02, seed=3)
+        trace = ctx.trace("gcc", "ref")
+        result = run_configuration(trace, trace, "gshare", 1024,
+                                   "static_iter")
+        expected = ctx.run("gcc", "gshare", 1024, scheme="static_iter")
+        assert result.static_branches > 0
+        assert result.to_dict() == expected.to_dict()
 
     def test_size_sweep_shape(self, gcc_trace):
         results = size_sweep(

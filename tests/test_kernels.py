@@ -2,17 +2,22 @@
 
 The contract of :mod:`repro.kernels` is bit-identity with the
 reference ``predict``/``update`` loop: same misprediction count, same
-final counter table, same history register, same ``_last_index``.
-These tests enforce it differentially — every assertion runs the same
-randomized trace through both paths and compares the complete
-observable state, across the three kernel-backed predictor families,
-cold and warm starts, and the degenerate trace lengths.
+collision counts, same final counter table, same history register,
+same ``_last_index`` (and, for a combined predictor, the same static
+counters).  These tests enforce it differentially — every assertion
+runs the same randomized trace through both paths and compares the
+complete observable state, across the three kernel-backed predictor
+families bare and under a :class:`CombinedPredictor` with every
+:class:`ShiftPolicy`, with and without collision tracking, cold and
+warm starts, and the degenerate trace lengths and hint tables.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.arch.isa import HintBits, ShiftPolicy
+from repro.core.combined import CombinedPredictor
 from repro.core.simulator import simulate
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentContext
@@ -31,9 +36,11 @@ from repro.profiling.collision_profile import (
     measure_collision_involvement,
 )
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.collisions import CollisionCounts
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.sizing import make_predictor
+from repro.staticpred.hints import HintAssignment
 from repro.utils.rng import derive_seed, rng_from_seed
 from repro.workloads.trace import BranchTrace
 
@@ -53,6 +60,35 @@ def random_trace(seed: int, length: int, sites: int = 37) -> BranchTrace:
     return trace
 
 
+HINT_KINDS = ("no-static", "all-static", "mixed")
+
+
+def random_hints(seed: int, kind: str, sites: int = 37) -> HintAssignment:
+    """Hints over :func:`random_trace`'s addresses.
+
+    ``no-static`` hints nothing; ``all-static`` hints every site, so no
+    event reaches the dynamic predictor; ``mixed`` hints a random subset
+    with random directions and per-branch shift bits, marks a few sites
+    explicitly dynamic, and adds addresses the trace never executes
+    (below, inside and above its address window).
+    """
+    rng = rng_from_seed(seed)
+    hints = HintAssignment("diff", kind)
+    if kind == "no-static":
+        return hints
+    for site in range(sites):
+        roll = rng.random()
+        if kind == "all-static" or roll < 0.45:
+            hints.set(0x4000 + site * 4, HintBits.static(
+                rng.random() < 0.5, shift_history=rng.random() < 0.5))
+        elif roll < 0.55:
+            hints.set(0x4000 + site * 4, HintBits.dynamic())
+    if kind == "mixed":
+        for absent in (0x10, 0x4002, 0x4000 + (sites + 3) * 4, 0x9000):
+            hints.set(absent, HintBits.static(True, shift_history=True))
+    return hints
+
+
 def warm_up(predictor, seed: int, length: int = 200) -> None:
     """Drive a predictor into a non-initial state via the reference loop."""
     simulate(random_trace(seed, length), predictor, kernel="reference")
@@ -60,6 +96,13 @@ def warm_up(predictor, seed: int, length: int = 200) -> None:
 
 def observable_state(predictor) -> dict:
     """Everything the bit-identity contract covers, as plain data."""
+    if isinstance(predictor, CombinedPredictor):
+        return {
+            **observable_state(predictor.dynamic),
+            "static_lookups": predictor.static_lookups,
+            "static_mispredictions": predictor.static_mispredictions,
+            "last_was_static": predictor._last_was_static,
+        }
     state = {
         "table": list(predictor.table.values),
         "last_index": predictor._last_index,
@@ -68,6 +111,17 @@ def observable_state(predictor) -> dict:
     if history is not None:
         state["history"] = history.value
     return state
+
+
+def fast_simulate(monkeypatch, trace, predictor, **kwargs):
+    """``simulate(kernel="fast")`` with the reference loop disabled, so
+    a silent fallback fails the test instead of passing it."""
+    def forbidden(*args):
+        raise AssertionError("the reference loop ran; no fast path taken")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.core.simulator._reference_loop", forbidden)
+        return simulate(trace, predictor, kernel="fast", **kwargs)
 
 
 def assert_bit_identical(factory, trace, warm_seed=None):
@@ -137,6 +191,107 @@ class TestBitIdentity:
             reference = simulate(gcc_trace, make_predictor(name, 2048),
                                  kernel="reference")
             assert fast == reference
+
+
+class TestTrackedBitIdentity:
+    """Bare families with collision tracking: fast equals reference on
+    the whole result record (collision counts included) and state."""
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_tracked(self, factory, length, warm, monkeypatch):
+        seed = derive_seed(1234, "tracked", length)
+        trace = random_trace(seed, length)
+        reference, fast = factory(), factory()
+        if warm:
+            warm_up(reference, seed + 1)
+            warm_up(fast, seed + 1)
+        expected = simulate(trace, reference, kernel="reference",
+                            track_collisions=True)
+        result = fast_simulate(monkeypatch, trace, fast,
+                               track_collisions=True)
+        assert result.to_dict() == expected.to_dict()
+        assert observable_state(fast) == observable_state(reference)
+
+
+class TestCombinedBitIdentity:
+    """CombinedPredictor over every kernel family: fast equals reference
+    under every shift policy, tracked or not, cold or warm, for every
+    shape of hint table."""
+
+    @staticmethod
+    def check(monkeypatch, factory, trace, hints, policy, track, warm_seed):
+        reference = CombinedPredictor(factory(), hints, shift_policy=policy)
+        fast = CombinedPredictor(factory(), hints, shift_policy=policy)
+        if warm_seed is not None:
+            warm_up(reference, warm_seed)
+            warm_up(fast, warm_seed)
+        expected = simulate(trace, reference, kernel="reference",
+                            track_collisions=track)
+        result = fast_simulate(monkeypatch, trace, fast,
+                               track_collisions=track)
+        assert result.to_dict() == expected.to_dict()
+        assert observable_state(fast) == observable_state(reference)
+        return result
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("policy", list(ShiftPolicy),
+                             ids=[p.value for p in ShiftPolicy])
+    @pytest.mark.parametrize("track", [False, True],
+                             ids=["plain", "tracked"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("kind", HINT_KINDS)
+    def test_combined(self, factory, policy, track, warm, kind,
+                      monkeypatch):
+        seed = derive_seed(1234, "combined", kind)
+        result = self.check(
+            monkeypatch, factory, random_trace(seed, 600),
+            random_hints(seed, kind), policy, track,
+            seed + 1 if warm else None,
+        )
+        if warm:
+            return  # the static counters include the warm-up run
+        if kind == "all-static":
+            assert result.static_branches == result.branches
+        if kind == "no-static":
+            assert result.static_branches == 0
+
+    @pytest.mark.parametrize("policy", list(ShiftPolicy),
+                             ids=[p.value for p in ShiftPolicy])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 17])
+    def test_degenerate_lengths(self, policy, length, monkeypatch):
+        seed = derive_seed(1234, "combined", length)
+        for factory in (lambda: GsharePredictor(16, history_length=6),
+                        lambda: GhistPredictor(16, history_length=6)):
+            self.check(monkeypatch, factory, random_trace(seed, length),
+                       random_hints(seed, "mixed"), policy, True, seed + 1)
+
+    def test_repeated_runs_chain_state(self, monkeypatch):
+        """Back-to-back combined runs accumulate the static counters and
+        carry the history exactly as the reference loop does."""
+        hints = random_hints(77, "mixed")
+        reference = CombinedPredictor(GsharePredictor(128), hints,
+                                      shift_policy=ShiftPolicy.PER_BRANCH)
+        fast = CombinedPredictor(GsharePredictor(128), hints,
+                                 shift_policy=ShiftPolicy.PER_BRANCH)
+        for seed in (derive_seed(77, "chain", i) for i in range(3)):
+            trace = random_trace(seed, 300)
+            expected = simulate(trace, reference, kernel="reference")
+            assert fast_simulate(monkeypatch, trace, fast) == expected
+        assert observable_state(fast) == observable_state(reference)
+
+    @pytest.mark.parametrize("policy", list(ShiftPolicy),
+                             ids=[p.value for p in ShiftPolicy])
+    def test_gcc_static_acc_cells(self, gcc_trace, policy, monkeypatch):
+        """The Figures 1-12 shape: a selected hint set on a real trace."""
+        ctx = ExperimentContext(trace_length=4000, site_scale=0.02, seed=3)
+        hints = ctx.hints("gcc", "static_acc", predictor_name="gshare",
+                          size_bytes=1024)
+        assert hints.static_count() > 0
+        for name in ("bimodal", "gshare", "ghist"):
+            self.check(monkeypatch, lambda: make_predictor(name, 1024),
+                       gcc_trace, hints, policy, True, None)
 
 
 class TestAccuracyBitIdentity:
@@ -213,16 +368,45 @@ class TestDispatch:
         result = simulate(trace, wide, kernel="auto")
         assert result.branches == 50
 
-    def test_collision_tracking_uses_reference_loop(self):
-        """track_collisions observes every lookup, so auto must not
-        shortcut — and both paths must report identical mispredictions."""
+    def test_collision_tracking_takes_the_fast_path(self, monkeypatch):
+        """Tracked runs replay on the kernels, with the tag tracker's
+        exact counts, and tracking never changes the mispredictions."""
         trace = random_trace(13, 1200)
+        tracked = fast_simulate(monkeypatch, trace, GsharePredictor(128),
+                                track_collisions=True)
+        reference = simulate(trace, GsharePredictor(128),
+                             kernel="reference", track_collisions=True)
         plain = simulate(trace, GsharePredictor(128), kernel="auto")
-        tracked = simulate(trace, GsharePredictor(128), kernel="auto",
-                           track_collisions=True)
+        assert tracked.to_dict() == reference.to_dict()
+        assert tracked.collisions.collisions > 0
         assert tracked.mispredictions == plain.mispredictions
-        assert tracked.collisions is not None
         assert plain.collisions is None
+
+    def test_combined_kernel_less_family_falls_back(self):
+        trace = random_trace(14, 400)
+        hints = random_hints(14, "mixed")
+
+        def combined():
+            return CombinedPredictor(make_predictor("2bcgskew", 2048), hints)
+
+        predictor = combined()
+        assert not has_fast_kernel(predictor)
+        counts = CollisionCounts()
+        assert try_fast_simulate(trace, predictor, collisions=counts) is None
+        assert counts == CollisionCounts()
+        fast = simulate(trace, combined(), kernel="fast",
+                        track_collisions=True)
+        reference = simulate(trace, combined(), kernel="reference",
+                             track_collisions=True)
+        assert fast.to_dict() == reference.to_dict()
+
+    def test_combined_subclass_falls_back(self):
+        class Custom(CombinedPredictor):
+            pass
+
+        predictor = Custom(GsharePredictor(64), random_hints(15, "mixed"))
+        assert not has_fast_kernel(predictor)
+        assert try_fast_simulate(random_trace(15, 50), predictor) is None
 
 
 class TestWithoutNumpy:

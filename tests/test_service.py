@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 
 import pytest
@@ -421,6 +422,62 @@ class TestPredictorService:
             payload = json.load(stream)
         assert payload["scheduler"]["completed"] == 1
         assert payload["connections"] >= 1
+
+    def test_drain_with_idle_clients_logs_no_traceback(self, tiny_ctx,
+                                                       caplog):
+        """The drain finishes every connection handler before the loop
+        closes: clients still connected see EOF, and no handler is left
+        parked in readline() for the loop's shutdown to cancel (which
+        Python 3.11 logs as a CancelledError traceback)."""
+        async def main():
+            service = PredictorService(
+                tiny_ctx, ServiceConfig(port=0, window_s=0.0)
+            )
+            await service.start()
+            clients = [
+                await asyncio.open_connection("127.0.0.1", service.port)
+                for _ in range(2)
+            ]
+            await asyncio.sleep(0.05)  # both handlers wait in readline()
+            await service.stop()
+            ends = [await asyncio.wait_for(reader.read(), 5.0)
+                    for reader, _ in clients]
+            for _, writer in clients:
+                writer.close()
+                await writer.wait_closed()
+            return ends
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            ends = asyncio.run(main())
+        assert ends == [b"", b""]
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.ERROR] == []
+
+    def test_drain_sends_pending_replies_before_closing(self, tiny_ctx):
+        """A reply the drain resolves still reaches its connection before
+        the server closes it."""
+        async def main():
+            service = PredictorService(
+                tiny_ctx, ServiceConfig(port=0, window_s=0.5)
+            )
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            writer.write(protocol.encode(protocol.request(
+                "submit", tag="late", cell=dict(WIRE_CELL))))
+            await writer.drain()
+            await asyncio.sleep(0.05)  # queued, batch window still open
+            await service.stop()
+            reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+            end = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            await writer.wait_closed()
+            return reply, end
+
+        reply, end = asyncio.run(main())
+        assert reply["type"] == "result" and reply["tag"] == "late"
+        assert end == b""
 
     def test_wait_healthy_fails_cleanly_when_nothing_listens(self):
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
