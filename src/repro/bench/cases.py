@@ -2,7 +2,8 @@
 
 Two tiers:
 
-* **Kernel microbenches** (always run): each hot predictor family,
+* **Kernel microbenches** (always run): each kernel-backed predictor
+  family -- the scan families and the bimode/2bcgskew hybrids --
   simulated over the same gcc/ref trace with ``kernel="reference"``
   versus ``kernel="fast"``.  The pairing is the point -- the ratio of
   the two rows is the speedup the fast kernels buy, and the fast rows
@@ -62,7 +63,7 @@ WARMUP = 1
 _PROGRAM = "gcc"
 _INPUT = "ref"
 _SIZE_BYTES = 4 * KIB
-_FAMILIES = ("bimodal", "gshare", "ghist")
+_FAMILIES = ("bimodal", "gshare", "ghist", "bimode", "2bcgskew")
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,12 +14,16 @@ execution detail, never an experiment parameter -- which is why the
 runner's result-cache keys deliberately exclude the kernel mode.
 
 Dispatch is by exact predictor type (subclasses may override
-``predict``/``update``, so they fall back).  A
+``predict``/``update``, so they fall back), through one table,
+``_KERNELS``, mapping each kernel-backed family to its replay.  The
+single-table families (bimodal, gshare, ghist) replay on an exact
+segmented scan; the hybrids (bimode, 2bcgskew) on numpy index columns
+feeding one scalar recurrence (see :mod:`repro.kernels.dynamic`).  A
 :class:`~repro.core.combined.CombinedPredictor` wrapping a
 kernel-backed family replays on that family's kernel under every
-:class:`~repro.arch.isa.ShiftPolicy`, and collision tracking rides on
-the kernels' own sort (see :mod:`repro.kernels.scan`).  The mode is
-selected by the ``kernel`` knob on
+:class:`~repro.arch.isa.ShiftPolicy`.  Collision tracking rides on the
+scan families' own sort (see :mod:`repro.kernels.scan`); the hybrids
+decline tracked runs.  The mode is selected by the ``kernel`` knob on
 :func:`repro.core.simulator.simulate`:
 
 ``"auto"``
@@ -28,8 +32,9 @@ selected by the ``kernel`` knob on
 ``"fast"``
     Like ``"auto"`` but a missing numpy is a
     :class:`~repro.errors.ConfigurationError` instead of a silent
-    fallback.  Predictors with no kernel (bimode, 2bcgskew, ...) and
-    combined predictors wrapping one still use the reference loop.
+    fallback.  Predictors with no kernel (agree, yags, local,
+    tournament, subclasses), combined predictors wrapping one, and
+    collision-tracked hybrids still use the reference loop.
 ``"reference"``
     Always run the per-branch loop (the baseline the differential
     tests and `repro bench` compare against).
@@ -44,9 +49,11 @@ from repro.errors import ConfigurationError
 from repro.kernels import dynamic
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.bimode import BiModePredictor
 from repro.predictors.collisions import CollisionCounts
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
+from repro.predictors.gskew import TwoBcGskewPredictor
 from repro.workloads.trace import BranchTrace
 
 __all__ = [
@@ -61,16 +68,16 @@ __all__ = [
 KERNEL_MODES = ("auto", "fast", "reference")
 
 _KERNELS = {
-    BimodalPredictor: dynamic.simulate_bimodal,
-    GsharePredictor: dynamic.simulate_gshare,
-    GhistPredictor: dynamic.simulate_ghist,
+    BimodalPredictor: dynamic.replay_bimodal,
+    GsharePredictor: dynamic.replay_gshare,
+    GhistPredictor: dynamic.replay_ghist,
+    BiModePredictor: dynamic.replay_bimode,
+    TwoBcGskewPredictor: dynamic.replay_2bcgskew,
 }
-
-_PREDICTION_KERNELS = {
-    BimodalPredictor: dynamic.predictions_bimodal,
-    GsharePredictor: dynamic.predictions_gshare,
-    GhistPredictor: dynamic.predictions_ghist,
-}
+"""Exact predictor type -> ``replay(trace, predictor, track_collisions)``,
+returning a :class:`~repro.kernels.dynamic.Replay` with the predictor's
+state advanced, or ``None`` (state untouched) when the family cannot
+track collisions."""
 
 
 def numpy_available() -> bool:
@@ -93,10 +100,15 @@ def validate_kernel_mode(kernel: str) -> str:
 
 
 def _within_limits(predictor: BranchPredictor, trace: BranchTrace) -> bool:
-    """Conservative numeric-headroom guards (see repro.kernels.dynamic)."""
+    """Conservative numeric-headroom guards (see repro.kernels.dynamic).
+
+    The counter-width guard is the scan's; the hybrids' recurrence
+    keeps its counters as Python ints.
+    """
     if len(trace) >= dynamic.MAX_TRACE_LENGTH:
         return False
-    if predictor.table.bits > dynamic.MAX_COUNTER_BITS:
+    table = getattr(predictor, "table", None)
+    if table is not None and table.bits > dynamic.MAX_COUNTER_BITS:
         return False
     history = getattr(predictor, "history", None)
     if history is not None and history.length > dynamic.MAX_HISTORY_LENGTH:
@@ -133,6 +145,23 @@ def has_fast_kernel(predictor: BranchPredictor) -> bool:
     return type(_family(predictor)) in _KERNELS
 
 
+def _replay(
+    trace: BranchTrace,
+    predictor: BranchPredictor,
+    family: BranchPredictor,
+    require: bool,
+    track_collisions: bool,
+):
+    """``family``'s replay of ``predictor`` over ``trace``, or ``None``
+    when no kernel applies (predictor state untouched)."""
+    if not _numpy_ready(require):
+        return None
+    kernel = _KERNELS.get(type(family))
+    if kernel is None or not _within_limits(family, trace):
+        return None
+    return kernel(trace, predictor, track_collisions)
+
+
 def try_fast_simulate(
     trace: BranchTrace,
     predictor: BranchPredictor,
@@ -150,15 +179,16 @@ def try_fast_simulate(
     With ``collisions``, the replay also runs the tag-check
     instrumentation of Figures 1-6 and adds exactly what a fresh
     :class:`~repro.predictors.collisions.CollisionTracker` would have
-    counted to that record (left untouched when ``None`` is returned).
+    counted to that record (left untouched when ``None`` is returned,
+    as it is for the hybrid families).
     """
-    if not _numpy_ready(require):
+    replay = _replay(trace, predictor, _family(predictor), require,
+                     collisions is not None)
+    if replay is None:
         return None
-    family = _family(predictor)
-    kernel = _KERNELS.get(type(family))
-    if kernel is None or not _within_limits(family, trace):
-        return None
-    return kernel(trace, predictor, collisions)
+    if collisions is not None:
+        replay.add_collisions(collisions)
+    return replay.mispredictions
 
 
 def try_fast_predictions(
@@ -169,22 +199,19 @@ def try_fast_predictions(
 ):
     """Replay ``trace``, returning the per-event prediction array.
 
-    The profiling twin of :func:`try_fast_simulate`: same limit guards,
-    same state-advance contract, but bare predictors only, and the
-    result is a numpy bool array of each event's prediction (compare
-    against ``trace.arrays()[1]`` for correctness per branch) instead
-    of the misprediction total.  With ``return_collisions`` the result
-    is ``(predictions, victims, aggressors)``, the last two from the
-    scan's tag check (see :func:`repro.kernels.scan.scan_counters`).
-    Returns ``None`` when no kernel applies and the caller should run
-    the reference loop.
+    The profiling twin of :func:`try_fast_simulate`: same kernels, same
+    limit guards, same state-advance contract, but bare predictors
+    only, and the result is a numpy bool array of each event's
+    prediction (compare against ``trace.arrays()[1]`` for correctness
+    per branch) instead of the misprediction total.  With
+    ``return_collisions`` the result is ``(predictions, victims,
+    aggressors)``, the last two from the scan's tag check (see
+    :func:`repro.kernels.scan.scan_counters`).  Returns ``None`` when no
+    kernel applies and the caller should run the reference loop.
     """
-    if not _numpy_ready(require):
+    replay = _replay(trace, predictor, predictor, require, return_collisions)
+    if replay is None:
         return None
-    kernel = _PREDICTION_KERNELS.get(type(predictor))
-    if kernel is None or not _within_limits(predictor, trace):
-        return None
-    replay = kernel(trace, predictor, return_collisions)
     if return_collisions:
         return (replay.predictions, *replay.collisions)
     return replay.predictions

@@ -1,26 +1,36 @@
-"""Whole-trace kernels for the hot dynamic predictors.
+"""Whole-trace kernels for the dynamic predictors.
 
 Each kernel replays one :class:`~repro.workloads.trace.BranchTrace`
 through one predictor family -- bare, or wrapped in a
 :class:`~repro.core.combined.CombinedPredictor` under any
-:class:`~repro.arch.isa.ShiftPolicy` -- without a per-branch Python
-loop:
+:class:`~repro.arch.isa.ShiftPolicy` -- and returns a :class:`Replay`:
 
 1. a combined predictor's statically hinted events are masked out
    against its hint table and scored with one compare; only the
-   remaining (dynamic) events reach the counter table, gathered
+   remaining (dynamic) events reach the counter tables, gathered
    straight from ``trace.arrays()`` (see :func:`_route`);
-2. the counter index of every dynamic event is precomputed as one
-   vectorized expression.  Trace outcomes are known in advance, so the
+2. the counter indices of every dynamic event are precomputed as
+   vectorized expressions.  Trace outcomes are known in advance, so the
    global history register's value before each branch is a pure
    function of the outcomes shifted into it (see
    :func:`_history_windows`): the windows are built over the events
    that shift history and sampled at the dynamic ones;
-3. the per-counter state evolution runs through the exact segmented
-   scan of :mod:`repro.kernels.scan`, whose stable sort by counter
-   index also yields each lookup's previous user -- the tag check of
-   the paper's collision instrumentation;
-4. the predictor's externally visible state -- counter table, history
+3. the counter state evolution runs in one of two ways:
+
+   * the single-table *scan families* (bimodal, gshare, ghist) run
+     through the exact segmented scan of :mod:`repro.kernels.scan`,
+     whose stable sort by counter index also yields each lookup's
+     previous user -- the tag check of the paper's collision
+     instrumentation;
+   * the *hybrid families* (bimode, 2bcgskew) couple their tables --
+     which bank trains, and whether the chooser does, depends on the
+     other tables' predictions -- so no per-counter scan can express
+     them.  Their index columns are still computed by numpy, one
+     :data:`CHUNK` of events at a time, and one tight scalar loop per
+     chunk applies the predict/update rules to the predictor's own
+     counter lists, in place;
+
+4. the predictor's externally visible state -- counter tables, history
    register, ``_PREDICT_STATE`` and the combined predictor's static
    counters -- is written back so the predictor is indistinguishable
    from one trained by the reference loop.
@@ -39,29 +49,36 @@ from typing import NamedTuple
 
 from repro.arch.isa import ShiftPolicy
 from repro.kernels.scan import scan_counters
+from repro.predictors.indexing import skew_h, skew_h_inv
 from repro.utils.bits import ADDRESS_ALIGN_SHIFT, log2_exact
 
 __all__ = [
+    "CHUNK",
     "MAX_COUNTER_BITS",
     "MAX_HISTORY_LENGTH",
     "MAX_TRACE_LENGTH",
     "Replay",
-    "predictions_bimodal",
-    "predictions_ghist",
-    "predictions_gshare",
-    "simulate_bimodal",
-    "simulate_ghist",
-    "simulate_gshare",
+    "replay_2bcgskew",
+    "replay_bimodal",
+    "replay_bimode",
+    "replay_ghist",
+    "replay_gshare",
 ]
 
 MAX_TRACE_LENGTH = 1 << 30
 """Scan adds are int32; cumulative deltas must stay far from overflow."""
 
 MAX_COUNTER_BITS = 16
-"""Counter states must fit int32 alongside the cumulative deltas."""
+"""Scan counter states must fit int32 alongside the cumulative deltas."""
 
 MAX_HISTORY_LENGTH = 62
 """History windows are built in int64; bit length-1 must stay below 63."""
+
+CHUNK = 4096
+"""Events per index-column chunk of the hybrid recurrences.  The scalar
+loop reads each chunk's columns through memoryviews, one Python int at
+a time; whole-trace columns, let alone Python lists of them (tens of
+MiB), never exist."""
 
 
 def _history_windows(outcomes, length, initial):
@@ -115,7 +132,7 @@ class Replay(NamedTuple):
     """What one whole-trace replay saw, in trace order.
 
     ``predictions`` and ``outcomes`` cover the events that looked up the
-    counter table: every event for a bare predictor, the dynamically
+    counter tables: every event for a bare predictor, the dynamically
     predicted ones under a combined predictor.  ``collisions`` is the
     scan's ``(victims, aggressors)`` position pair over those events
     (see :func:`~repro.kernels.scan.scan_counters`) when the replay was
@@ -133,6 +150,22 @@ class Replay(NamedTuple):
 
         dynamic = int(numpy.count_nonzero(self.predictions != self.outcomes))
         return dynamic + self.static_mispredictions
+
+    def add_collisions(self, counts) -> None:
+        """Add what a fresh
+        :class:`~repro.predictors.collisions.CollisionTracker` would have
+        recorded to ``counts``: one lookup per dynamic event, and each
+        collision constructive when its victim was predicted correctly."""
+        import numpy
+
+        victims, _ = self.collisions
+        hits = int(numpy.count_nonzero(
+            self.predictions[victims] == self.outcomes[victims]
+        ))
+        counts.lookups += self.predictions.shape[0]
+        counts.collisions += victims.shape[0]
+        counts.constructive += hits
+        counts.destructive += victims.shape[0] - hits
 
 
 def _route(combined, addresses, outcomes):
@@ -180,16 +213,29 @@ def _route(combined, addresses, outcomes):
     return dynamic, shifts, wrong
 
 
-def _replay(trace, predictor, index_of, track_collisions):
-    """Replay ``trace`` through ``predictor``, advancing all its state.
+class _Events(NamedTuple):
+    """The dynamic events of one replay, ready for a family's rules.
 
-    ``predictor`` is a scan family or a combined predictor wrapping one;
-    ``index_of(family, addresses, windows)`` computes the family's
-    counter indices from the dynamic events' addresses and history
-    windows (``None`` for a history-less family).
+    ``family`` is the predictor whose tables the events train (a
+    combined predictor's wrapped one); ``windows`` holds each event's
+    history register value (``None`` for a history-less family) and is
+    the caller's to mutate.
     """
-    import numpy
 
+    family: object
+    addresses: object
+    taken: object
+    windows: object
+    static_mispredictions: int
+
+
+def _dynamic_events(trace, predictor):
+    """Route ``trace`` through ``predictor`` up to its counter tables.
+
+    Advances a combined predictor's static counters and the family's
+    history register to their post-trace values; the counter tables and
+    the predict-time state are the caller's to advance.
+    """
     from repro.core.combined import CombinedPredictor
 
     addresses, outcomes = trace.arrays()
@@ -209,63 +255,68 @@ def _replay(trace, predictor, index_of, track_collisions):
     windows = None
     if history is not None:
         shifted = outcomes if shifts is None else outcomes[shifts]
-        windows = _folded_windows(predictor, shifted)
+        windows = _history_windows(shifted, history.length, history.value)
         # Sample the windows at the dynamic events, unless those are
         # exactly the events that shift (bare, or NO_SHIFT).
         if shifts is not dynamic:
             windows = windows[dynamic if shifts is None else dynamic[shifts]]
-        final = _final_history(shifted, history.length, history.value)
+        history.import_value(
+            _final_history(shifted, history.length, history.value)
+        )
+    return _Events(predictor, addresses, taken, windows,
+                   static_mispredictions)
 
-    indices = index_of(predictor, addresses, windows)
-    table = predictor.table
+
+def _fold(windows, length, width, mask):
+    """Fold history windows into an index ``width``, in place.
+
+    Matches the reference predictors' fold-then-mask: a register no
+    longer than the index is used as is (it already fits the mask), a
+    longer one is XOR-folded once and masked.
+    """
+    if length > width:
+        windows ^= windows >> width
+        windows &= mask
+    return windows
+
+
+# -- scan families ----------------------------------------------------
+
+
+def _scan(trace, predictor, index_of, track_collisions):
+    """Replay a scan family (bare or combined) through the clamp-add scan.
+
+    ``index_of(family, addresses, windows)`` computes the family's
+    counter indices from the dynamic events' addresses and history
+    windows (``None`` for a history-less family).
+    """
+    import numpy
+
+    events = _dynamic_events(trace, predictor)
+    family = events.family
+    indices = index_of(family, events.addresses, events.windows)
+    table = family.table
     base = table.export_array().astype(numpy.int32)
     predictions, collisions = scan_counters(
-        indices, taken, base, table.max_value, table.threshold,
-        addresses if track_collisions else None,
+        indices, events.taken, base, table.max_value, table.threshold,
+        events.addresses if track_collisions else None,
     )
     table.import_array(base)
     if indices.shape[0]:
-        predictor._last_index = int(indices[-1])
-    if history is not None:
-        history.import_value(final)
-    return Replay(predictions, taken, static_mispredictions, collisions)
+        family._last_index = int(indices[-1])
+    return Replay(predictions, events.taken, events.static_mispredictions,
+                  collisions)
 
 
-def _tally(replay, collisions):
-    """A replay's misprediction total; with ``collisions`` (a
-    :class:`~repro.predictors.collisions.CollisionCounts`), also add the
-    counts a :class:`~repro.predictors.collisions.CollisionTracker`
-    would have recorded: one lookup per dynamic event, and each
-    collision constructive when its victim was predicted correctly."""
-    if collisions is not None:
-        import numpy
+def _folded_windows(predictor, windows):
+    """A gshare/ghist predictor's windows folded into its index width.
 
-        victims, _ = replay.collisions
-        hits = int(numpy.count_nonzero(
-            replay.predictions[victims] == replay.outcomes[victims]
-        ))
-        collisions.lookups += replay.predictions.shape[0]
-        collisions.collisions += victims.shape[0]
-        collisions.constructive += hits
-        collisions.destructive += victims.shape[0] - hits
-    return replay.mispredictions
-
-
-def _folded_windows(predictor, outcomes):
-    """Per-branch history windows, folded into the table's index width.
-
-    Every returned window fits the index mask (an unfolded register is
-    at most ``width`` bits; a folded one is masked here, matching the
-    reference predictors' mask-after-fold), so gshare's XOR with masked
-    address bits needs no re-mask.
+    Every returned window fits the index mask, so gshare's XOR with
+    masked address bits needs no re-mask.
     """
-    history = predictor.history
-    width = log2_exact(predictor.table.entries)
-    windows = _history_windows(outcomes, history.length, history.value)
-    if history.length > width:
-        windows ^= windows >> width
-        windows &= predictor.table.mask
-    return windows
+    table = predictor.table
+    return _fold(windows, predictor.history.length,
+                 log2_exact(table.entries), table.mask)
 
 
 def _bimodal_indices(predictor, addresses, windows):
@@ -273,45 +324,225 @@ def _bimodal_indices(predictor, addresses, windows):
 
 
 def _gshare_indices(predictor, addresses, windows):
+    windows = _folded_windows(predictor, windows)
     pc = (addresses >> ADDRESS_ALIGN_SHIFT) & predictor.table.mask
     return pc.astype(windows.dtype) ^ windows
 
 
 def _ghist_indices(predictor, addresses, windows):
-    return windows
+    return _folded_windows(predictor, windows)
 
 
-def predictions_bimodal(trace, predictor, track_collisions=False):
+def replay_bimodal(trace, predictor, track_collisions=False):
     """:class:`Replay` of a
     :class:`~repro.predictors.bimodal.BimodalPredictor`, state advanced."""
-    return _replay(trace, predictor, _bimodal_indices, track_collisions)
+    return _scan(trace, predictor, _bimodal_indices, track_collisions)
 
 
-def simulate_bimodal(trace, predictor, collisions=None):
-    """Fast path for :class:`~repro.predictors.bimodal.BimodalPredictor`."""
-    replay = predictions_bimodal(trace, predictor, collisions is not None)
-    return _tally(replay, collisions)
-
-
-def predictions_gshare(trace, predictor, track_collisions=False):
+def replay_gshare(trace, predictor, track_collisions=False):
     """:class:`Replay` of a
     :class:`~repro.predictors.gshare.GsharePredictor`, state advanced."""
-    return _replay(trace, predictor, _gshare_indices, track_collisions)
+    return _scan(trace, predictor, _gshare_indices, track_collisions)
 
 
-def simulate_gshare(trace, predictor, collisions=None):
-    """Fast path for :class:`~repro.predictors.gshare.GsharePredictor`."""
-    replay = predictions_gshare(trace, predictor, collisions is not None)
-    return _tally(replay, collisions)
-
-
-def predictions_ghist(trace, predictor, track_collisions=False):
+def replay_ghist(trace, predictor, track_collisions=False):
     """:class:`Replay` of a
     :class:`~repro.predictors.ghist.GhistPredictor`, state advanced."""
-    return _replay(trace, predictor, _ghist_indices, track_collisions)
+    return _scan(trace, predictor, _ghist_indices, track_collisions)
 
 
-def simulate_ghist(trace, predictor, collisions=None):
-    """Fast path for :class:`~repro.predictors.ghist.GhistPredictor`."""
-    replay = predictions_ghist(trace, predictor, collisions is not None)
-    return _tally(replay, collisions)
+# -- hybrid families --------------------------------------------------
+
+
+def _recurrence(events, index_columns, chunk, *tables):
+    """Drive a hybrid family's scalar recurrence over its dynamic events.
+
+    Per :data:`CHUNK` of events, ``index_columns(start, stop)`` returns
+    the numpy index columns; memoryviews of them and of the outcomes
+    feed ``chunk(*columns, taken, *tables, out)``, which writes each
+    event's prediction to ``out`` and returns the last event's
+    predict-time state.  Returns ``(predictions, last)``, ``last``
+    being ``None`` when no event reached the tables.
+    """
+    import numpy
+
+    n = events.taken.shape[0]
+    predictions = numpy.empty(n, dtype=numpy.bool_)
+    out = bytearray(CHUNK)
+    last = None
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        last = chunk(*map(memoryview, index_columns(start, stop)),
+                     memoryview(events.taken[start:stop]), *tables, out)
+        predictions[start:stop] = numpy.frombuffer(
+            out, dtype=numpy.bool_, count=stop - start)
+    return predictions, last
+
+
+def _bimode_chunk(directions, choices, taken, banks, choice, threshold,
+                  top, out):
+    """:class:`~repro.predictors.bimode.BiModePredictor`'s predict and
+    update rules over one chunk of events, on its own counter lists.
+
+    Writes each event's prediction to ``out`` and returns the last
+    event's ``(direction_index, choice_index, choice_taken,
+    direction_pred)``.
+    """
+    # repro: allow[PERF001] -- the coupled counter recurrence: each
+    # event's bank and choice update depend on counters the previous
+    # events wrote, so it is scalar by definition; every index it
+    # reads was computed by numpy, one bounded chunk at a time
+    for i, d, c, t in zip(range(len(taken)), directions, choices, taken):
+        cv = choice[c]
+        ct = cv >= threshold
+        bank = banks[ct]
+        v = bank[d]
+        p = v >= threshold
+        out[i] = p
+        # Only the selected bank trains.  The choice trains unless it
+        # disagreed with the outcome while that bank was right.
+        if t:
+            if v < top:
+                bank[d] = v + 1
+            if cv < top and (ct or not p):
+                choice[c] = cv + 1
+        else:
+            if v:
+                bank[d] = v - 1
+            if cv and (p or not ct):
+                choice[c] = cv - 1
+    return d, c, ct, p
+
+
+def replay_bimode(trace, predictor, track_collisions=False):
+    """:class:`Replay` of a
+    :class:`~repro.predictors.bimode.BiModePredictor`, state advanced.
+
+    ``None`` when asked to track collisions: the tag check of two
+    coupled tables per lookup stays on the reference loop.
+    """
+    if track_collisions:
+        return None
+    events = _dynamic_events(trace, predictor)
+    bimode = events.family
+    windows = _fold(events.windows, bimode.history.length,
+                    bimode._direction_width, bimode._direction_mask)
+
+    def index_columns(start, stop):
+        pc = events.addresses[start:stop] >> ADDRESS_ALIGN_SHIFT
+        return ((pc ^ windows[start:stop]) & bimode._direction_mask,
+                pc & bimode._choice_mask)
+
+    banks = (bimode.direction_banks[0].values,
+             bimode.direction_banks[1].values)
+    predictions, last = _recurrence(
+        events, index_columns, _bimode_chunk, banks, bimode.choice.values,
+        bimode._threshold, bimode._max_value,
+    )
+    if last is not None:
+        direction_index, choice_index, choice_taken, direction_pred = last
+        bimode._last_direction_index = direction_index
+        bimode._last_choice_index = choice_index
+        bimode._last_bank = 1 if choice_taken else 0
+        bimode._last_choice_taken = choice_taken
+        bimode._last_direction_pred = direction_pred
+    return Replay(predictions, events.taken, events.static_mispredictions,
+                  None)
+
+
+def _gskew_chunk(bims, g0s, g1s, metas, taken, banks, threshold, top, out):
+    """:class:`~repro.predictors.gskew.TwoBcGskewPredictor`'s predict
+    and update rules over one chunk of events, on its own counter lists.
+
+    Writes each event's prediction to ``out`` and returns the last
+    event's indices and component predictions.
+    """
+    bim, g0, g1, meta = banks
+    # repro: allow[PERF001] -- the coupled counter recurrence: which
+    # banks train depends on all four banks' predictions, which depend
+    # on what earlier events wrote, so it is scalar by definition;
+    # every index it reads was computed by numpy, one bounded chunk at
+    # a time
+    for i, b, x, y, m, t in zip(range(len(taken)), bims, g0s, g1s, metas,
+                                taken):
+        bv = bim[b]
+        xv = g0[x]
+        yv = g1[y]
+        mv = meta[m]
+        bp = bv >= threshold
+        xp = xv >= threshold
+        yp = yv >= threshold
+        gp = (bp + xp + yp) >= 2
+        mc = mv >= threshold
+        final = gp if mc else bp
+        out[i] = final
+        # A wrong prediction trains BIM, G0 and G1.  A right one trains
+        # the banks that agreed with it: BIM whenever it was right, G0
+        # and G1 only when the vote was chosen.
+        wrong = final != t
+        if t:
+            if bv < top and (wrong or bp):
+                bim[b] = bv + 1
+            if xv < top and (wrong or mc and xp):
+                g0[x] = xv + 1
+            if yv < top and (wrong or mc and yp):
+                g1[y] = yv + 1
+        else:
+            if bv and (wrong or not bp):
+                bim[b] = bv - 1
+            if xv and (wrong or mc and not xp):
+                g0[x] = xv - 1
+            if yv and (wrong or mc and not yp):
+                g1[y] = yv - 1
+        # META trains only when the components disagree, toward the one
+        # that was right.
+        if bp != gp:
+            if gp == t:
+                if mv < top:
+                    meta[m] = mv + 1
+            elif mv:
+                meta[m] = mv - 1
+    return b, x, y, m, bp, xp, yp, gp, mc
+
+
+def replay_2bcgskew(trace, predictor, track_collisions=False):
+    """:class:`Replay` of a
+    :class:`~repro.predictors.gskew.TwoBcGskewPredictor`, state advanced.
+
+    The skewed G0/G1 indices apply the same ``H``/``H^-1`` functions
+    the predictor tabulates, as array shifts and XORs.  ``None`` when
+    asked to track collisions: the tag check of four tables per lookup
+    stays on the reference loop.
+    """
+    if track_collisions:
+        return None
+    events = _dynamic_events(trace, predictor)
+    gskew = events.family
+    width = gskew._width
+    mask = gskew._mask
+
+    def index_columns(start, stop):
+        pc = events.addresses[start:stop] >> ADDRESS_ALIGN_SHIFT
+        history = events.windows[start:stop]
+        c1 = pc & mask
+        c2 = (pc >> width) & mask
+        # H and H^-1 keep width-bit values width bits wide, so only
+        # META, which XORs the whole PC, needs the mask.
+        g0 = (skew_h(c1, width) ^ skew_h_inv(c2, width)
+              ^ (history & gskew._g0_hist_mask))
+        g1 = (skew_h_inv(c1, width) ^ c2
+              ^ skew_h(history & gskew._g1_hist_mask, width))
+        meta = (pc ^ (history & gskew._meta_hist_mask)) & mask
+        return c1, g0, g1, meta
+
+    predictions, last = _recurrence(
+        events, index_columns, _gskew_chunk,
+        tuple(bank.values for bank in gskew.banks),
+        gskew._threshold, gskew._max_value,
+    )
+    if last is not None:
+        gskew._idx[:] = last[:4]
+        (gskew._bim_pred, gskew._g0_pred, gskew._g1_pred,
+         gskew._gskew_pred, gskew._meta_choice_gskew) = last[4:]
+    return Replay(predictions, events.taken, events.static_mispredictions,
+                  None)

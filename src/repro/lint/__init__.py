@@ -47,7 +47,7 @@ WID004    modulo by a provable power of two should be a mask
 PERF001   no per-element Python loops over trace-scale data on hot paths
 PERF002   hot-path accumulators preallocate arrays instead of append
 PERF003   no array-reallocating, upcasting, or scalar-math numpy use
-PERF004   ``kernels/`` ``simulate_*`` functions reachable from ``_KERNELS``
+PERF004   ``kernels/`` ``replay_*`` functions reachable from ``_KERNELS``
 KEY001    every result-influencing input reaches the cache key or is
           declared in the audited ``_KEY_EXEMPT`` contract
 KEY002    cache keys serialize canonically: sorted JSON, no sets,

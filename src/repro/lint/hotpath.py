@@ -60,9 +60,11 @@ __all__ = [
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While)
 
-#: Path suffix of the kernels dispatch module and its table name.
+#: Path suffix of the kernels dispatch module, its table name, and the
+#: name prefix of the kernel entry points the table maps to.
 KERNELS_SUFFIX = "kernels/__init__.py"
 KERNEL_TABLE_NAME = "_KERNELS"
+KERNEL_PREFIX = "replay_"
 
 #: The decorator marking a function as per-branch by declaration.
 HOT_DECORATOR = "hot_path"

@@ -20,9 +20,9 @@ scalar loop in a cold report formatter never fires.
   ``math.*`` calls inside a trace-scale loop, and binary operations
   that upcast an integer-dtype array (the declared widths of
   :mod:`repro.lint.rules.widths`) to float.
-* **PERF004** — a ``simulate_*`` kernel defined under ``kernels/`` that
-  the ``_KERNELS`` dispatch table never selects: a registered fast
-  sibling hot callers silently cannot reach.
+* **PERF004** — a ``replay_*`` kernel defined under ``kernels/`` that
+  the ``_KERNELS`` dispatch table never selects: a fast sibling hot
+  callers silently cannot reach.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Iterator
 from repro.lint.dataflow import ReachingDefinitions
 from repro.lint.findings import Finding, Severity
 from repro.lint.hotpath import (
+    KERNEL_PREFIX,
     KERNEL_TABLE_NAME,
     KERNELS_SUFFIX,
     HotFunction,
@@ -398,7 +399,7 @@ class UnregisteredKernelRule(ProjectRule):
     """PERF004: every public kernel is selectable from the dispatch table.
 
     The kernels package promises ``simulate(..., kernel="auto")`` uses
-    the fastest registered implementation.  A ``simulate_*`` function
+    the fastest registered implementation.  A ``replay_*`` function
     defined under ``kernels/`` that the ``_KERNELS`` table neither maps
     to nor reaches is a fast sibling hot callers silently cannot use —
     they fall back to the reference loop and the bench gap reopens.
@@ -406,15 +407,15 @@ class UnregisteredKernelRule(ProjectRule):
 
     rule_id = "PERF004"
     severity = Severity.ERROR
-    summary = "kernels/ simulate_* functions are reachable from _KERNELS"
+    summary = "kernels/ replay_* functions are reachable from _KERNELS"
     anchor = KERNELS_SUFFIX
     example_bad = (
-        "# kernels/local.py defines simulate_local, but kernels/__init__\n"
-        "_KERNELS = {BimodalPredictor: dynamic.simulate_bimodal}"
+        "# kernels/local.py defines replay_local, but kernels/__init__\n"
+        "_KERNELS = {BimodalPredictor: dynamic.replay_bimodal}"
     )
     example_good = (
-        "_KERNELS = {BimodalPredictor: dynamic.simulate_bimodal,\n"
-        "            LocalPredictor: local.simulate_local}"
+        "_KERNELS = {BimodalPredictor: dynamic.replay_bimodal,\n"
+        "            LocalPredictor: local.replay_local}"
     )
 
     def __init__(self, anchor: str = KERNELS_SUFFIX,
@@ -431,7 +432,7 @@ class UnregisteredKernelRule(ProjectRule):
         kernels_dir = anchor_ctx.path.as_posix().rsplit("/", 1)[0] + "/"
         for qualname in sorted(graph.functions):
             fn = graph.functions[qualname]
-            if (fn.name.startswith("simulate_") and fn.cls is None
+            if (fn.name.startswith(KERNEL_PREFIX) and fn.cls is None
                     and fn.ctx.path.as_posix().startswith(kernels_dir)
                     and "<locals>" not in qualname
                     and qualname not in reachable):

@@ -70,13 +70,15 @@ def skew_h(value: int, width: int) -> int:
 
     ``H(y)`` shifts ``y`` right by one and feeds ``y0 XOR y_{width-1}``
     into the vacated top bit.  Linear over GF(2) and invertible for every
-    width >= 1 (for width 1 it is the identity).
+    width >= 1 (for width 1 it is the identity).  ``value`` may also be
+    an integer numpy array (never mutated): the 2bcgskew kernel skews
+    whole index columns with it.
     """
     if width < 1:
         raise ConfigurationError(f"skew width must be >= 1, got {width}")
     if width == 1:
         return value & 1
-    value &= bit_mask(width)
+    value = value & bit_mask(width)
     top = (value ^ (value >> (width - 1))) & 1
     return (value >> 1) | (top << (width - 1))
 
@@ -91,7 +93,7 @@ def skew_h_inv(value: int, width: int) -> int:
         raise ConfigurationError(f"skew width must be >= 1, got {width}")
     if width == 1:
         return value & 1
-    value &= bit_mask(width)
+    value = value & bit_mask(width)
     top = (value >> (width - 1)) & 1
     second = (value >> (width - 2)) & 1
     y0 = top ^ second

@@ -118,7 +118,8 @@ def measure_collision_involvement(
 def _fast_collision_records(
     trace: BranchTrace, predictor: BranchPredictor
 ) -> dict[int, CollisionInvolvement] | None:
-    """Vectorized victim/aggressor attribution, or None (no kernel).
+    """Vectorized victim/aggressor attribution, or None (no kernel, or
+    one that cannot track collisions, as the hybrids' cannot).
 
     The single-table families access exactly one counter per event, so
     the scalar loop's tag array reduces to "the previous event with my

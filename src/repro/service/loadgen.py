@@ -6,11 +6,13 @@ Two driving modes, the classic pair:
   pipelined connection, each issuing its next request the moment the
   previous one completes.  Throughput is whatever the server sustains;
   latency excludes queueing at the client.
-* **open loop** -- requests are *scheduled* at a fixed ``rate``
-  (requests/s), issued over round-robin connections regardless of how
-  fast responses come back.  This is the honest overload probe: a
-  server that cannot keep up accumulates latency (or sheds load via
-  ``rejected``) instead of quietly slowing the generator down.
+* **open loop** -- request ``i`` is *scheduled* at its absolute due
+  time ``start + i / rate``, issued over round-robin connections
+  regardless of how fast responses come back, and timed from that due
+  time.  This is the honest overload probe: a server that cannot keep
+  up accumulates latency (or sheds load via ``rejected``) instead of
+  quietly slowing the generator down, and a late timer wake-up shows
+  up as latency instead of as a lower request rate.
 
 Every request is timed; the :class:`LatencyReport` aggregates p50/p90/
 p99, requests/s, the *service-side* hit-rate (scheduler counters
@@ -20,7 +22,9 @@ as a human table and as JSON written through the atomic seam -- CI
 parses the JSON to gate on warm hit-rate 1.0 and zero errors.
 
 All clock reads here are observability (latency *is* the observable);
-none of them can reach a simulated result, hence the DET002 allows.
+none of them can reach a simulated result, hence the DET002 allow on
+``_clock``, the one seam every read goes through (tests replace it,
+and ``_sleep``, with a fake clock).
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ __all__ = [
 
 _MIX_PREDICTORS = ("bimodal", "gshare", "ghist")
 _MIX_SIZES = (1 * KIB, 2 * KIB, 4 * KIB)
+
+_LEAD_S = 0.05
+"""The open loop's first due time, after the schedule starts: every
+send, the first included, then waits for its due time the same way."""
+
+_clock = time.perf_counter  # repro: allow[DET002] -- observability only, latency is the measurement
+_sleep = asyncio.sleep
 
 
 def default_mix(size: int = 4, program: str = "gcc") -> list[dict]:
@@ -179,23 +190,25 @@ async def run_loadgen(
     latencies_ms: list[float] = []
     outcomes = {"result": 0, "rejected": 0, "error": 0}
 
-    async def one(client: ServiceClient, index: int) -> None:
+    async def one(client: ServiceClient, index: int,
+                  start: float | None = None) -> None:
         cell = cells[index % len(cells)]
-        start = time.perf_counter()  # repro: allow[DET002] -- observability only, latency is the measurement
+        if start is None:
+            start = _clock()
         try:
             message = await client.submit(cell)
         except ServiceError:
             outcomes["error"] += 1
             return
-        elapsed = time.perf_counter() - start  # repro: allow[DET002] -- observability only
+        elapsed = _clock() - start
         kind = message["type"]
         outcomes[kind if kind in outcomes else "error"] += 1
         if kind == "result":
             latencies_ms.append(elapsed * 1000.0)
 
     stats_before = await clients[0].stats()
-    run_start = time.perf_counter()  # repro: allow[DET002] -- observability only
     if mode == "closed":
+        run_start = _clock()
         pending = iter(range(requests))
 
         async def worker(client: ServiceClient) -> None:
@@ -204,16 +217,20 @@ async def run_loadgen(
 
         await asyncio.gather(*(worker(client) for client in clients))
     else:
-        interval = 1.0 / rate
+        # Each send waits for its absolute due time, so a late wake-up
+        # delays one request instead of every request after it.
+        run_start = _clock() + _LEAD_S
         tasks = []
         for index in range(requests):
+            due = run_start + index / rate
+            delay = due - _clock()
+            if delay > 0:
+                await _sleep(delay)
             tasks.append(asyncio.ensure_future(
-                one(clients[index % concurrency], index)
+                one(clients[index % concurrency], index, due)
             ))
-            if index + 1 < requests:
-                await asyncio.sleep(interval)
         await asyncio.gather(*tasks)
-    duration = time.perf_counter() - run_start  # repro: allow[DET002] -- observability only
+    duration = _clock() - run_start
     stats_after = await clients[0].stats()
 
     for client in clients:

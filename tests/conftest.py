@@ -7,8 +7,11 @@ the benchmark harness, not here.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.common import ExperimentContext
 from repro.workloads.generator import build_workload
 from repro.workloads.spec95 import get_spec
@@ -38,6 +41,30 @@ def m88ksim_traces():
     ref = build_workload(get_spec("m88ksim"), "ref", root_seed=TEST_SEED,
                          site_scale=0.05).execute(20_000, run_seed=1)
     return train, ref
+
+
+@pytest.fixture(scope="session")
+def src_repro_findings():
+    """Every lint rule's findings on the real package, analyzed once.
+
+    The self-host tests each assert one rule family's property on
+    these: call with ``--select``-style tokens for the findings of the
+    rules they select, with none for all.  A run selecting one family
+    reports exactly the full run's findings of that family, so sharing
+    the analysis loses nothing.
+    """
+    from repro.lint import run_lint
+    from repro.lint.rules import select_rules
+
+    findings = run_lint([Path(repro.__file__).parent])
+
+    def select(*selectors):
+        if not selectors:
+            return list(findings)
+        rule_ids = {rule.rule_id for rule in select_rules(selectors)}
+        return [f for f in findings if f.rule in rule_ids]
+
+    return select
 
 
 @pytest.fixture()

@@ -133,8 +133,9 @@ class TestCompare:
 class TestSuite:
     def test_kernel_cases_pair_reference_and_fast(self):
         names = [case.name for case in kernel_cases(include_fast=True)]
-        assert "gshare/reference" in names
-        assert "gshare/fast" in names
+        for family in ("gshare", "bimode", "2bcgskew"):
+            assert f"{family}/reference" in names
+            assert f"{family}/fast" in names
         without = [case.name for case in kernel_cases(include_fast=False)]
         assert all(name.endswith("/reference") for name in without)
 

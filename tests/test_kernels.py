@@ -2,14 +2,15 @@
 
 The contract of :mod:`repro.kernels` is bit-identity with the
 reference ``predict``/``update`` loop: same misprediction count, same
-collision counts, same final counter table, same history register,
-same ``_last_index`` (and, for a combined predictor, the same static
+collision counts, same final counter tables, same history register,
+same ``_PREDICT_STATE`` (and, for a combined predictor, the same static
 counters).  These tests enforce it differentially — every assertion
 runs the same randomized trace through both paths and compares the
-complete observable state, across the three kernel-backed predictor
+complete observable state, across the five kernel-backed predictor
 families bare and under a :class:`CombinedPredictor` with every
-:class:`ShiftPolicy`, with and without collision tracking, cold and
-warm starts, and the degenerate trace lengths and hint tables.
+:class:`ShiftPolicy`, cold and warm starts, and the degenerate trace
+lengths and hint tables; the three scan families also with collision
+tracking, which the two hybrid families decline.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from repro.profiling.collision_profile import (
     measure_collision_involvement,
 )
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.bimode import BiModePredictor
 from repro.predictors.collisions import CollisionCounts
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
+from repro.predictors.gskew import TwoBcGskewPredictor
 from repro.predictors.sizing import make_predictor
 from repro.staticpred.hints import HintAssignment
 from repro.utils.rng import derive_seed, rng_from_seed
@@ -94,8 +97,16 @@ def warm_up(predictor, seed: int, length: int = 200) -> None:
     simulate(random_trace(seed, length), predictor, kernel="reference")
 
 
+TABLE_ATTRIBUTES = ("table", "choice", "direction_banks", "banks")
+"""Where the kernel-backed families keep their counter tables."""
+
+
 def observable_state(predictor) -> dict:
-    """Everything the bit-identity contract covers, as plain data."""
+    """Everything the bit-identity contract covers, as plain data:
+    every counter table, the history register, every ``_PREDICT_STATE``
+    attribute (``_last_index``, bimode's last indices, bank and
+    predictions, 2bcgskew's component predictions) and 2bcgskew's
+    ``_idx``."""
     if isinstance(predictor, CombinedPredictor):
         return {
             **observable_state(predictor.dynamic),
@@ -103,10 +114,16 @@ def observable_state(predictor) -> dict:
             "static_mispredictions": predictor.static_mispredictions,
             "last_was_static": predictor._last_was_static,
         }
-    state = {
-        "table": list(predictor.table.values),
-        "last_index": predictor._last_index,
-    }
+    state = {}
+    for name in TABLE_ATTRIBUTES:
+        tables = getattr(predictor, name, None)
+        if tables is not None:
+            tables = tables if isinstance(tables, tuple) else (tables,)
+            state[name] = [list(table.values) for table in tables]
+    for name in predictor._PREDICT_STATE:
+        state[name] = getattr(predictor, name)
+    if isinstance(predictor, TwoBcGskewPredictor):
+        state["_idx"] = list(predictor._idx)
     history = getattr(predictor, "history", None)
     if history is not None:
         state["history"] = history.value
@@ -138,7 +155,7 @@ def assert_bit_identical(factory, trace, warm_seed=None):
     assert observable_state(fast) == observable_state(reference)
 
 
-FAMILIES = [
+SCAN_FAMILIES = [
     pytest.param(lambda: BimodalPredictor(256), id="bimodal-256x2"),
     pytest.param(lambda: BimodalPredictor(64, counter_bits=1),
                  id="bimodal-64x1"),
@@ -155,6 +172,42 @@ FAMILIES = [
     pytest.param(lambda: GhistPredictor(64, history_length=12),
                  id="ghist-64-folded"),
 ]
+
+HYBRID_FAMILIES = [
+    # History equal to the direction index width (the paper's choice),
+    # folded history longer than it, a 1-bit register, and counter
+    # widths either side of the paper's 2 bits.
+    pytest.param(lambda: BiModePredictor(64, 32), id="bimode-64"),
+    pytest.param(lambda: BiModePredictor(64, 64, history_length=10),
+                 id="bimode-64-folded"),
+    pytest.param(lambda: BiModePredictor(16, 8, history_length=1),
+                 id="bimode-16-h1"),
+    pytest.param(lambda: BiModePredictor(32, 16, counter_bits=1),
+                 id="bimode-32x1"),
+    pytest.param(lambda: BiModePredictor(32, 16, counter_bits=3),
+                 id="bimode-32x3"),
+    # Default bank histories, custom ones including empty histories,
+    # the minimum 4-entry banks, and counter widths 1 and 3.
+    pytest.param(lambda: TwoBcGskewPredictor(64), id="2bcgskew-64"),
+    pytest.param(lambda: TwoBcGskewPredictor(64, g0_history=0,
+                                             g1_history=6, meta_history=2),
+                 id="2bcgskew-64-g0-0"),
+    pytest.param(lambda: TwoBcGskewPredictor(256, g0_history=5,
+                                             g1_history=0, meta_history=0),
+                 id="2bcgskew-256-g1-0-meta-0"),
+    pytest.param(lambda: TwoBcGskewPredictor(4), id="2bcgskew-4"),
+    pytest.param(lambda: TwoBcGskewPredictor(16, counter_bits=1),
+                 id="2bcgskew-16x1"),
+    pytest.param(lambda: TwoBcGskewPredictor(16, counter_bits=3),
+                 id="2bcgskew-16x3"),
+]
+
+HYBRIDS = (BiModePredictor, TwoBcGskewPredictor)
+"""The families whose kernels decline collision-tracked runs."""
+
+FAMILIES = SCAN_FAMILIES + HYBRID_FAMILIES
+
+HYBRID_NAMES = ("bimode", "2bcgskew")
 
 LENGTHS = [0, 1, 2, 3, 17, 500, 4096]
 
@@ -184,8 +237,20 @@ class TestBitIdentity:
                 == result.mispredictions
         assert observable_state(fast) == observable_state(reference)
 
+    @pytest.mark.parametrize("factory", HYBRID_FAMILIES)
+    def test_repeated_hybrid_runs_chain_state(self, factory):
+        """Back-to-back fast runs of a hybrid family match back-to-back
+        reference runs, across chunk boundaries within each run."""
+        reference, fast = factory(), factory()
+        for seed in (derive_seed(99, "hybrid-chain", i) for i in range(3)):
+            trace = random_trace(seed, 5000)
+            result = simulate(trace, reference, kernel="reference")
+            assert try_fast_simulate(trace, fast, require=True) \
+                == result.mispredictions
+            assert observable_state(fast) == observable_state(reference)
+
     def test_simulate_fast_equals_reference_result(self, gcc_trace):
-        for name in ("bimodal", "gshare", "ghist"):
+        for name in ("bimodal", "gshare", "ghist", "bimode", "2bcgskew"):
             fast = simulate(gcc_trace, make_predictor(name, 2048),
                             kernel="fast")
             reference = simulate(gcc_trace, make_predictor(name, 2048),
@@ -194,10 +259,10 @@ class TestBitIdentity:
 
 
 class TestTrackedBitIdentity:
-    """Bare families with collision tracking: fast equals reference on
-    the whole result record (collision counts included) and state."""
+    """Bare scan families with collision tracking: fast equals reference
+    on the whole result record (collision counts included) and state."""
 
-    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("factory", SCAN_FAMILIES)
     @pytest.mark.parametrize("length", LENGTHS)
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_tracked(self, factory, length, warm, monkeypatch):
@@ -218,7 +283,8 @@ class TestTrackedBitIdentity:
 class TestCombinedBitIdentity:
     """CombinedPredictor over every kernel family: fast equals reference
     under every shift policy, tracked or not, cold or warm, for every
-    shape of hint table."""
+    shape of hint table.  A tracked hybrid declines the kernel, so its
+    tracked result must equal the reference by way of the loop."""
 
     @staticmethod
     def check(monkeypatch, factory, trace, hints, policy, track, warm_seed):
@@ -229,8 +295,12 @@ class TestCombinedBitIdentity:
             warm_up(fast, warm_seed)
         expected = simulate(trace, reference, kernel="reference",
                             track_collisions=track)
-        result = fast_simulate(monkeypatch, trace, fast,
-                               track_collisions=track)
+        if track and isinstance(fast.dynamic, HYBRIDS):
+            result = simulate(trace, fast, kernel="fast",
+                              track_collisions=True)
+        else:
+            result = fast_simulate(monkeypatch, trace, fast,
+                                   track_collisions=track)
         assert result.to_dict() == expected.to_dict()
         assert observable_state(fast) == observable_state(reference)
         return result
@@ -267,6 +337,30 @@ class TestCombinedBitIdentity:
             self.check(monkeypatch, factory, random_trace(seed, length),
                        random_hints(seed, "mixed"), policy, True, seed + 1)
 
+    @pytest.mark.parametrize("policy", list(ShiftPolicy),
+                             ids=[p.value for p in ShiftPolicy])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 17])
+    def test_degenerate_lengths_hybrids(self, policy, length, monkeypatch):
+        seed = derive_seed(1234, "combined", length)
+        for factory in (lambda: BiModePredictor(16, 16, history_length=6),
+                        lambda: TwoBcGskewPredictor(16)):
+            self.check(monkeypatch, factory, random_trace(seed, length),
+                       random_hints(seed, "mixed"), policy, False, seed + 1)
+
+    @pytest.mark.parametrize("factory", HYBRID_FAMILIES)
+    @pytest.mark.parametrize("policy", list(ShiftPolicy),
+                             ids=[p.value for p in ShiftPolicy])
+    def test_repeated_hybrid_runs_chain_state(self, factory, policy,
+                                              monkeypatch):
+        hints = random_hints(78, "mixed")
+        reference = CombinedPredictor(factory(), hints, shift_policy=policy)
+        fast = CombinedPredictor(factory(), hints, shift_policy=policy)
+        for seed in (derive_seed(78, "chain", i) for i in range(3)):
+            trace = random_trace(seed, 5000)
+            expected = simulate(trace, reference, kernel="reference")
+            assert fast_simulate(monkeypatch, trace, fast) == expected
+            assert observable_state(fast) == observable_state(reference)
+
     def test_repeated_runs_chain_state(self, monkeypatch):
         """Back-to-back combined runs accumulate the static counters and
         carry the history exactly as the reference loop does."""
@@ -289,9 +383,10 @@ class TestCombinedBitIdentity:
         hints = ctx.hints("gcc", "static_acc", predictor_name="gshare",
                           size_bytes=1024)
         assert hints.static_count() > 0
-        for name in ("bimodal", "gshare", "ghist"):
+        for name in ("bimodal", "gshare", "ghist", "bimode", "2bcgskew"):
             self.check(monkeypatch, lambda: make_predictor(name, 1024),
-                       gcc_trace, hints, policy, True, None)
+                       gcc_trace, hints, policy, name not in HYBRID_NAMES,
+                       None)
 
 
 class TestAccuracyBitIdentity:
@@ -299,11 +394,18 @@ class TestAccuracyBitIdentity:
 
     @pytest.mark.parametrize("factory", FAMILIES)
     @pytest.mark.parametrize("length", LENGTHS)
-    def test_accuracy_profiles_match(self, factory, length):
+    def test_accuracy_profiles_match(self, factory, length, monkeypatch):
         seed = derive_seed(4321, "accuracy", length)
         trace = random_trace(seed, length)
         fast_predictor, ref_predictor = factory(), factory()
-        fast = measure_accuracy(trace, fast_predictor)
+
+        def forbidden(*args):
+            raise AssertionError("the scalar loop ran; no fast path taken")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.profiling.accuracy._measure_accuracy_scalar",
+                          forbidden)
+            fast = measure_accuracy(trace, fast_predictor)
         reference = _measure_accuracy_scalar(trace, ref_predictor)
         # Identical per-branch counts AND first-occurrence insertion
         # order (to_json serializes the mapping order), plus the same
@@ -326,14 +428,21 @@ class TestAccuracyBitIdentity:
         assert mispredicted == result.mispredictions
 
     def test_kernel_less_predictor_falls_back_to_the_loop(self):
-        predictor = make_predictor("2bcgskew", 4096)
+        predictor = make_predictor("yags", 4096)
         assert try_fast_predictions(random_trace(7, 50), predictor) is None
         trace = random_trace(8, 400)
-        fast = measure_accuracy(trace, make_predictor("2bcgskew", 4096))
+        fast = measure_accuracy(trace, make_predictor("yags", 4096))
         reference = _measure_accuracy_scalar(
-            trace, make_predictor("2bcgskew", 4096)
+            trace, make_predictor("yags", 4096)
         )
         assert fast.to_json() == reference.to_json()
+
+    def test_gcc_hybrid_profiles_match(self, gcc_trace):
+        for name in HYBRID_NAMES:
+            fast = measure_accuracy(gcc_trace, make_predictor(name, 1024))
+            reference = _measure_accuracy_scalar(
+                gcc_trace, make_predictor(name, 1024))
+            assert fast.to_json() == reference.to_json()
 
 
 class TestDispatch:
@@ -350,14 +459,14 @@ class TestDispatch:
 
     def test_unsupported_predictor_falls_back(self):
         trace = random_trace(7, 400)
-        predictor = make_predictor("2bcgskew", 2048)
+        predictor = make_predictor("yags", 2048)
         assert not has_fast_kernel(predictor)
         assert try_fast_simulate(trace, predictor) is None
         # kernel="fast" still runs (the knob requires numpy, not a
         # kernel for every family) and matches the reference loop.
-        fast = simulate(trace, make_predictor("2bcgskew", 2048),
+        fast = simulate(trace, make_predictor("yags", 2048),
                         kernel="fast")
-        reference = simulate(trace, make_predictor("2bcgskew", 2048),
+        reference = simulate(trace, make_predictor("yags", 2048),
                              kernel="reference")
         assert fast == reference
 
@@ -387,7 +496,8 @@ class TestDispatch:
         hints = random_hints(14, "mixed")
 
         def combined():
-            return CombinedPredictor(make_predictor("2bcgskew", 2048), hints)
+            return CombinedPredictor(make_predictor("tournament", 2048),
+                                     hints)
 
         predictor = combined()
         assert not has_fast_kernel(predictor)
@@ -399,6 +509,37 @@ class TestDispatch:
         reference = simulate(trace, combined(), kernel="reference",
                              track_collisions=True)
         assert fast.to_dict() == reference.to_dict()
+
+    @pytest.mark.parametrize("factory", HYBRID_FAMILIES)
+    @pytest.mark.parametrize("policy", [None, *ShiftPolicy],
+                             ids=["bare", *(p.value for p in ShiftPolicy)])
+    def test_tracked_hybrid_declines(self, factory, policy):
+        """A hybrid kernel declines a tracked run before touching any
+        state; simulate then tracks on the reference loop."""
+        trace = random_trace(16, 400)
+        hints = random_hints(16, "mixed")
+
+        def build():
+            if policy is None:
+                return factory()
+            return CombinedPredictor(factory(), hints, shift_policy=policy)
+
+        predictor = build()
+        assert has_fast_kernel(predictor)
+        counts = CollisionCounts()
+        assert try_fast_simulate(trace, predictor, collisions=counts) is None
+        assert counts == CollisionCounts()
+        assert observable_state(predictor) == observable_state(build())
+        if policy is None:
+            assert try_fast_predictions(trace, predictor,
+                                        return_collisions=True) is None
+            assert observable_state(predictor) == observable_state(build())
+        fast = simulate(trace, predictor, kernel="fast",
+                        track_collisions=True)
+        reference = simulate(trace, build(), kernel="reference",
+                             track_collisions=True)
+        assert fast.to_dict() == reference.to_dict()
+        assert fast.collisions.lookups > 0
 
     def test_combined_subclass_falls_back(self):
         class Custom(CombinedPredictor):
@@ -493,13 +634,15 @@ class TestCollisionVectorization:
         assert list(records) == list(scalar.branches)
 
     def test_kernel_less_predictor_falls_back(self):
+        # yags has no kernel; 2bcgskew's kernel declines to track.
         trace = random_trace(derive_seed(99, "collisions", "fallback"), 300)
-        predictor = make_predictor("2bcgskew", 2048)
-        assert _fast_collision_records(trace, predictor) is None
-        profile = measure_collision_involvement(trace, predictor)
-        scalar = _measure_collision_involvement_scalar(
-            trace, make_predictor("2bcgskew", 2048))
-        assert self.as_plain(profile) == self.as_plain(scalar)
+        for name in ("yags", "2bcgskew"):
+            predictor = make_predictor(name, 2048)
+            assert _fast_collision_records(trace, predictor) is None
+            profile = measure_collision_involvement(trace, predictor)
+            scalar = _measure_collision_involvement_scalar(
+                trace, make_predictor(name, 2048))
+            assert self.as_plain(profile) == self.as_plain(scalar)
 
     def test_out_of_limits_predictor_falls_back(self):
         # Counter widths past the kernels' int32 headroom guard must

@@ -735,17 +735,17 @@ class TestEngineAndReport:
 
 
 class TestSelfHost:
-    def test_src_repro_is_lint_clean_outside_perf(self):
+    def test_src_repro_is_lint_clean_outside_perf(self, src_repro_findings):
         # PERF carries deliberate baselined debt (the vectorization
         # worklist); every other family must be spotless.
-        findings = run_lint([SRC_REPRO])
+        findings = src_repro_findings()
         non_perf = [f for f in findings if not f.rule.startswith("PERF")]
         assert non_perf == [], "\n".join(f.render() for f in non_perf)
 
-    def test_src_repro_perf_debt_is_fully_baselined(self):
+    def test_src_repro_perf_debt_is_fully_baselined(self, src_repro_findings):
         from repro.lint.baseline import DEFAULT_BASELINE_PATH, Baseline
 
-        findings = run_lint([SRC_REPRO])
+        findings = src_repro_findings()
         baseline = Baseline.load(Path(DEFAULT_BASELINE_PATH))
         new, _baselined = baseline.filter_new(findings)
         assert new == [], "\n".join(f.render() for f in new)
@@ -754,8 +754,8 @@ class TestSelfHost:
         perf = [f for f in findings if f.rule.startswith("PERF")]
         assert len(perf) >= 5
 
-    def test_kernels_and_runner_are_perf_clean(self):
-        findings = run_lint([SRC_REPRO], select_rules(["PERF"]))
+    def test_kernels_and_runner_are_perf_clean(self, src_repro_findings):
+        findings = src_repro_findings("PERF")
         hot_dirs = [f for f in findings
                     if "/kernels/" in f.path or "/runner/" in f.path]
         assert hot_dirs == [], "\n".join(f.render() for f in hot_dirs)

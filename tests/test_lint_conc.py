@@ -486,8 +486,8 @@ class TestConc004:
 
 
 class TestConcSelfHost:
-    def test_src_repro_is_concurrency_clean(self):
-        findings = run_lint([SRC_REPRO], select_rules(["CONC"]))
+    def test_src_repro_is_concurrency_clean(self, src_repro_findings):
+        findings = src_repro_findings("CONC")
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_real_store_unlocked_discard_fires(self, tmp_path):

@@ -43,7 +43,7 @@ class TestHotRegionInference:
                 from pkg.kernels import dynamic
 
                 _KERNELS = {
-                    "bimodal": dynamic.simulate_bimodal,
+                    "bimodal": dynamic.replay_bimodal,
                 }
             """,
             "pkg/kernels/dynamic.py": """
@@ -53,17 +53,17 @@ class TestHotRegionInference:
                         total += value
                     return total
 
-                def simulate_bimodal(trace, predictor):
+                def replay_bimodal(trace, predictor):
                     addresses, outcomes = trace.arrays()
                     return _tally(outcomes)
             """,
         })
         region = hot_region(load_project([root]))
-        assert "pkg.kernels.dynamic.simulate_bimodal" in region
+        assert "pkg.kernels.dynamic.replay_bimodal" in region
         # The helper is pulled in through the call edge, not by name.
         assert "pkg.kernels.dynamic._tally" in region
         reason = region.functions[
-            "pkg.kernels.dynamic.simulate_bimodal"].reason
+            "pkg.kernels.dynamic.replay_bimodal"].reason
         assert "_KERNELS" in reason
 
     def test_hot_path_decorator_roots_function_and_callees(self, tmp_path):
@@ -328,10 +328,10 @@ class TestPerf004:
     FILES = {
         "pkg/__init__.py": "",
         "pkg/kernels/dynamic.py": """
-            def simulate_bimodal(trace, predictor):
+            def replay_bimodal(trace, predictor):
                 return 0
 
-            def simulate_orphan(trace, predictor):
+            def replay_orphan(trace, predictor):
                 return 0
         """,
     }
@@ -341,12 +341,12 @@ class TestPerf004:
         files["pkg/kernels/__init__.py"] = """
             from pkg.kernels import dynamic
 
-            _KERNELS = {"bimodal": dynamic.simulate_bimodal}
+            _KERNELS = {"bimodal": dynamic.replay_bimodal}
         """
         findings = run_lint([write_tree(tmp_path, files)],
                             [UnregisteredKernelRule()])
         assert [f.rule for f in findings] == ["PERF004"]
-        assert "simulate_orphan" in findings[0].message
+        assert "replay_orphan" in findings[0].message
         assert "_KERNELS" in findings[0].message
 
     def test_registered_kernels_pass(self, tmp_path):
@@ -355,8 +355,8 @@ class TestPerf004:
             from pkg.kernels import dynamic
 
             _KERNELS = {
-                "bimodal": dynamic.simulate_bimodal,
-                "orphan": dynamic.simulate_orphan,
+                "bimodal": dynamic.replay_bimodal,
+                "orphan": dynamic.replay_orphan,
             }
         """
         assert run_lint([write_tree(tmp_path, files)],

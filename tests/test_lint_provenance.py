@@ -498,10 +498,8 @@ class TestAtmRules:
 
 
 class TestProvenanceSelfHost:
-    def test_src_repro_is_provenance_clean(self, tmp_path):
-        findings = run_lint(
-            [SRC_REPRO], select_rules(["KEY", "ENV", "ATM"])
-        )
+    def test_src_repro_is_provenance_clean(self, src_repro_findings):
+        findings = src_repro_findings("KEY", "ENV", "ATM")
         assert findings == [], "\n".join(f.render() for f in findings)
 
     @pytest.mark.parametrize("entry", [

@@ -21,7 +21,6 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-import repro
 from repro.lint import Finding, Severity, run_lint, select_rules
 from repro.lint.baseline import Baseline
 from repro.lint.intervals import (
@@ -41,8 +40,6 @@ from repro.lint.intervals import (
 from repro.lint.report import render_explain
 from repro.lint.rules import all_rules
 from repro.utils.rng import derive_rng
-
-SRC_REPRO = Path(repro.__file__).parent
 
 WID_RULES = select_rules(["WID"])
 
@@ -565,8 +562,8 @@ class TestNumpyPolicy:
 
 
 class TestSelfHostAndExplain:
-    def test_src_repro_is_wid_clean(self):
-        assert run_lint([SRC_REPRO], WID_RULES) == []
+    def test_src_repro_is_wid_clean(self, src_repro_findings):
+        assert src_repro_findings("WID") == []
 
     def test_every_registered_rule_is_explainable(self):
         rules = all_rules()

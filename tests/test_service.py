@@ -41,6 +41,7 @@ from repro.service import (
 from repro.service import protocol
 from repro.service.batching import DrainingError
 from repro.service.client import ServiceClient, wait_healthy
+from repro.service import loadgen
 from repro.service.loadgen import default_mix, percentile, run_loadgen
 
 
@@ -517,6 +518,68 @@ class TestLoadgenReportMath:
     def test_loadgen_validates_before_connecting(self, kwargs):
         with pytest.raises(ServiceError):
             asyncio.run(run_loadgen("127.0.0.1", 1, **kwargs))
+
+
+class TestOpenLoopSchedule:
+    """The open loop against a fake clock: every timer wakes ``LATE``
+    seconds after its deadline, as a real one does, and every request
+    takes ``SERVICE`` seconds to answer."""
+
+    RATE = 100.0
+    REQUESTS = 25
+    LATE = 0.004
+    SERVICE = 0.002
+
+    def run(self, monkeypatch):
+        now = [1000.0]
+        sends = []
+
+        class FakeClient:
+            async def submit(self, cell):
+                sends.append(now[0])
+                now[0] += TestOpenLoopSchedule.SERVICE
+                return {"type": "result"}
+
+            async def stats(self):
+                return {"scheduler": {"cache_hits": 0, "completed": 0}}
+
+            async def close(self):
+                pass
+
+        async def connect(host, port):
+            return FakeClient()
+
+        async def sleep(delay):
+            deadline = now[0] + delay
+            await asyncio.sleep(0)  # the sent requests run meanwhile
+            now[0] = max(now[0], deadline) + self.LATE
+
+        monkeypatch.setattr(loadgen, "_clock", lambda: now[0])
+        monkeypatch.setattr(loadgen, "_sleep", sleep)
+        monkeypatch.setattr(loadgen.ServiceClient, "connect",
+                            staticmethod(connect))
+        report = asyncio.run(run_loadgen(
+            "127.0.0.1", 1, requests=self.REQUESTS, concurrency=2,
+            mode="open", rate=self.RATE))
+        return report, sends
+
+    def test_sends_keep_the_schedule_despite_late_timers(self, monkeypatch):
+        report, sends = self.run(monkeypatch)
+        assert len(sends) == self.REQUESTS
+        assert sends[-1] - sends[0] == pytest.approx(
+            (self.REQUESTS - 1) / self.RATE)
+        gaps = [b - a for a, b in zip(sends, sends[1:])]
+        assert gaps == pytest.approx([1 / self.RATE] * len(gaps))
+        assert report.requests_per_second == pytest.approx(
+            self.REQUESTS / ((self.REQUESTS - 1) / self.RATE
+                             + self.LATE + self.SERVICE))
+
+    def test_latency_starts_at_the_due_time(self, monkeypatch):
+        report, _ = self.run(monkeypatch)
+        # Each send left LATE after its due time; the latency shows it.
+        expected_ms = (self.LATE + self.SERVICE) * 1000.0
+        assert report.p50_ms == pytest.approx(expected_ms)
+        assert report.p99_ms == pytest.approx(expected_ms)
 
 
 @needs_loopback
