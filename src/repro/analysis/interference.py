@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.simulator import replay
 from repro.predictors.base import BranchPredictor
+from repro.utils.tally import tally
 from repro.workloads.trace import BranchTrace
 
 __all__ = ["PairCounts", "InterferenceAnalysis", "analyze_interference"]
@@ -88,48 +90,35 @@ def analyze_interference(
 
     The predictor is consumed (trained).  Pair keys are
     ``(victim_address, aggressor_address)`` -- the branch doing the
-    lookup and the previous owner of the counter it hit.
+    lookup and the previous owner of the counter it hit.  One tracked
+    :func:`~repro.core.simulator.replay` lists every collision's two
+    positions; one :func:`~repro.utils.tally.tally` groups them by pair,
+    in order of each pair's first collision.
     """
-    analysis = InterferenceAnalysis(
+    import numpy
+
+    result = replay(trace, predictor, track_collisions=True)
+    victims, aggressors = result.collisions
+    # The scan lists collisions by counter, the tag tracker by lookup
+    # and then table; a stable sort by victim gives trace order.
+    order = numpy.argsort(victims, kind="stable")
+    victims, aggressors = victims[order], aggressors[order]
+    destructive = result.predictions[victims] != result.outcomes[victims]
+    addresses, _ = trace.arrays()
+    sites, ids = numpy.unique(addresses, return_inverse=True)
+    width = len(sites)
+    sites = sites.tolist()
+    keys, totals, (wrong,) = tally(
+        ids[victims] * width + ids[aggressors], destructive
+    )
+    return InterferenceAnalysis(
         program_name=trace.program_name,
         predictor_name=predictor.name,
+        pairs={
+            (sites[key // width], sites[key % width]):
+                PairCounts(destructive=w, constructive=total - w)
+            for key, total, w in zip(keys, totals, wrong)
+        },
+        total_collisions=len(victims),
+        total_destructive=sum(wrong),
     )
-    tags: list[list[int]] = [
-        [-1] * entries for entries in predictor.table_entry_counts()
-    ]
-    pairs = analysis.pairs
-    predict = predictor.predict
-    update = predictor.update
-    accessed = predictor.accessed
-    addresses = trace.addresses
-    outcomes = trace.outcomes
-
-    for i in range(len(addresses)):
-        address = addresses[i]
-        taken = outcomes[i]
-        predicted = predict(address)
-        hit_aggressors: list[int] = []
-        for table_id, index in accessed():
-            table_tags = tags[table_id]
-            previous = table_tags[index]
-            if previous >= 0 and previous != address:
-                hit_aggressors.append(previous)
-            table_tags[index] = address
-        update(address, taken, predicted)
-        if not hit_aggressors:
-            continue
-        destructive = predicted != taken
-        analysis.total_collisions += len(hit_aggressors)
-        if destructive:
-            analysis.total_destructive += len(hit_aggressors)
-        for aggressor in hit_aggressors:
-            key = (address, aggressor)
-            counts = pairs.get(key)
-            if counts is None:
-                counts = PairCounts()
-                pairs[key] = counts
-            if destructive:
-                counts.destructive += 1
-            else:
-                counts.constructive += 1
-    return analysis

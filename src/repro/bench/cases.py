@@ -5,9 +5,10 @@ Two tiers:
 * **Kernel microbenches** (always run): each kernel-backed predictor
   family -- the scan families and the bimode/2bcgskew hybrids --
   simulated over the same gcc/ref trace with ``kernel="reference"``
-  versus ``kernel="fast"``.  The pairing is the point -- the ratio of
-  the two rows is the speedup the fast kernels buy, and the fast rows
-  are what the CI regression gate protects.  The ``combined/`` pair
+  (the ``/reference`` row) versus ``kernel="auto"`` (the ``/fast``
+  row).  The pairing is the point -- the ratio of the two rows is the
+  speedup the fast kernels buy, and the fast rows are what the CI
+  regression gate protects.  The ``combined/`` pair
   replays a ``static_acc`` combined gshare (hints selected outside the
   timed region) and the ``tracked/`` pair a collision-tracked gshare:
   the two kernel paths the figure sweeps spend their time in.
@@ -19,10 +20,6 @@ Two tiers:
   (once) and digest-verified *outside* the timed region, so the number
   is simulation throughput with zero generation noise, which is what
   the fast-path-gap work (ROADMAP item 1) needs to watch.
-
-Fast-kernel cases are skipped (not failed) when numpy is unavailable,
-mirroring :mod:`repro.kernels`' graceful degradation; the reference
-rows still run, so a snapshot is produced either way.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.bench.snapshot import BenchResult, BenchSnapshot
 from repro.bench.timing import measure
 from repro.core.simulator import run_combined, simulate
 from repro.experiments.common import KIB, ExperimentContext
-from repro.kernels import numpy_available
 from repro.predictors.sizing import make_predictor
 
 __all__ = [
@@ -82,65 +78,54 @@ class BenchCase:
         return self.name.startswith("e2e/")
 
 
-def _pairs(prefix: str, predictor: str, include_fast: bool | None,
+def _pairs(prefix: str, predictor: str,
            scheme: str = "none") -> tuple[BenchCase, ...]:
-    """A ``<prefix>/reference`` case, plus ``<prefix>/fast`` when
-    ``include_fast`` (``None`` probes numpy availability)."""
-    if include_fast is None:
-        include_fast = numpy_available()
-    kernels = ("reference", "fast") if include_fast else ("reference",)
+    """A ``<prefix>/reference`` case on the reference loop and a
+    ``<prefix>/fast`` case on ``kernel="auto"``."""
     return tuple(
-        BenchCase(f"{prefix}/{kernel}", predictor, _SIZE_BYTES, kernel,
+        BenchCase(f"{prefix}/{name}", predictor, _SIZE_BYTES, kernel,
                   scheme=scheme)
-        for kernel in kernels
+        for name, kernel in (("reference", "reference"), ("fast", "auto"))
     )
 
 
-def kernel_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
-    """The reference/fast microbench pairs, in report order.
-
-    ``include_fast=None`` probes numpy availability; passing an explicit
-    boolean makes the suite deterministic for tests.
-    """
+def kernel_cases() -> tuple[BenchCase, ...]:
+    """The reference/fast microbench pairs, in report order."""
     return tuple(
-        case for family in _FAMILIES
-        for case in _pairs(family, family, include_fast)
+        case for family in _FAMILIES for case in _pairs(family, family)
     )
 
 
-def profiling_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+def profiling_cases() -> tuple[BenchCase, ...]:
     """The profile-tally pair: scalar loop versus vectorized column pass.
 
-    Mirrors the kernel pairs: ``profile/reference`` runs the
-    numpy-free scalar tally, ``profile/fast`` the whole-column
-    :meth:`~repro.profiling.profile.ProgramProfile.from_trace` pass,
+    Mirrors the kernel pairs: ``profile/reference`` runs the scalar
+    oracle loop, ``profile/fast`` the whole-column
+    :meth:`~repro.profiling.profile.ProgramProfile.from_trace` tally,
     and the ratio is the phase-one speedup.
     """
-    return _pairs("profile", "bimodal", include_fast)
+    return _pairs("profile", "bimodal")
 
 
-def collision_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
-    """The collision-attribution pair: scalar loop versus kernel replay.
-
-    ``collision/reference`` runs the per-event victim/aggressor loop,
-    ``collision/fast`` the vectorized
+def collision_cases() -> tuple[BenchCase, ...]:
+    """The collision-attribution pair:
     :func:`~repro.profiling.collision_profile.measure_collision_involvement`
-    path (the replay's victim/aggressor pairs + bincounts); the ratio is
-    the collision-phase speedup of the static_collision selection flow.
-    """
-    return _pairs("collision", "gshare", include_fast)
+    on the reference loop's tag tracker versus on the scan kernel's
+    victim/aggressor pairs; the ratio is the collision-phase speedup of
+    the static_collision selection flow."""
+    return _pairs("collision", "gshare")
 
 
-def combined_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+def combined_cases() -> tuple[BenchCase, ...]:
     """The combined-predictor pair: a ``static_acc`` gshare (NO_SHIFT)
     on the reference loop versus its fast kernel replay."""
-    return _pairs("combined", "gshare", include_fast, scheme="static_acc")
+    return _pairs("combined", "gshare", scheme="static_acc")
 
 
-def tracked_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+def tracked_cases() -> tuple[BenchCase, ...]:
     """The collision-tracked pair: ``track_collisions=True`` gshare on
     the reference loop's tag tracker versus the scan's tag check."""
-    return _pairs("tracked", "gshare", include_fast)
+    return _pairs("tracked", "gshare")
 
 
 def replay_cases() -> tuple[BenchCase, ...]:
@@ -253,41 +238,30 @@ def _case_runner(case: BenchCase, ctx: ExperimentContext):
             predictor = make_predictor(case.predictor, case.size_bytes)
             run_combined(trace, predictor, hints, kernel=case.kernel)
         return run
-    if case.name.startswith("tracked/"):
-        def run() -> None:
-            predictor = make_predictor(case.predictor, case.size_bytes)
-            simulate(trace, predictor, track_collisions=True,
-                     kernel=case.kernel)
-        return run
     if case.name.startswith("collision/"):
         from repro.profiling.collision_profile import (
-            _measure_collision_involvement_scalar,
             measure_collision_involvement,
         )
 
-        if case.kernel == "reference":
-            def run() -> None:
-                _measure_collision_involvement_scalar(
-                    trace, make_predictor(case.predictor, case.size_bytes))
-        else:
-            def run() -> None:
-                measure_collision_involvement(
-                    trace, make_predictor(case.predictor, case.size_bytes))
+        def run() -> None:
+            measure_collision_involvement(
+                trace, make_predictor(case.predictor, case.size_bytes),
+                kernel=case.kernel)
         return run
     if case.name.startswith("profile/"):
         from repro.profiling.profile import ProgramProfile
 
-        if case.kernel == "reference":
-            def run() -> None:
-                ProgramProfile._from_trace_scalar(trace)
-        else:
-            def run() -> None:
-                ProgramProfile.from_trace(trace)
+        profile = (ProgramProfile._from_trace_scalar
+                   if case.kernel == "reference" else ProgramProfile.from_trace)
+
+        def run() -> None:
+            profile(trace)
         return run
 
     def run() -> None:
         predictor = make_predictor(case.predictor, case.size_bytes)
-        simulate(trace, predictor, kernel=case.kernel)
+        simulate(trace, predictor, kernel=case.kernel,
+                 track_collisions=case.name.startswith("tracked/"))
     return run
 
 

@@ -3,6 +3,8 @@
 * :func:`simulate` -- run one trace through one predictor, producing a
   :class:`~repro.core.metrics.SimulationResult` (optionally with the
   tag-based collision instrumentation of Figures 1-6).
+* :func:`replay` -- the same run as a per-event
+  :class:`~repro.kernels.Replay`, for the per-branch profiling views.
 * :func:`run_selection_phase` -- phase one: profile a trace (and, for the
   accuracy-based schemes, simulate the dynamic predictor over it) and
   produce a :class:`~repro.staticpred.hints.HintAssignment`.
@@ -22,7 +24,12 @@ from repro.arch.isa import ShiftPolicy
 from repro.core.combined import CombinedPredictor
 from repro.core.metrics import SimulationResult
 from repro.errors import SelectionError
-from repro.kernels import try_fast_simulate, validate_kernel_mode
+from repro.kernels import (
+    Replay,
+    try_fast_replay,
+    try_fast_simulate,
+    validate_kernel_mode,
+)
 from repro.predictors.base import BranchPredictor
 from repro.predictors.collisions import CollisionCounts, CollisionTracker
 from repro.profiling.accuracy import measure_accuracy
@@ -39,28 +46,30 @@ from repro.staticpred.selection import (
 )
 from repro.workloads.trace import BranchTrace
 
-__all__ = ["simulate", "run_selection_phase", "run_combined"]
+__all__ = ["replay", "simulate", "run_selection_phase", "run_combined"]
 
 
 def _reference_loop(
     trace: BranchTrace,
     predictor: BranchPredictor,
     tracker: CollisionTracker | None,
-) -> int:
-    """The per-branch ``predict``/``update`` loop; returns mispredictions.
+) -> Replay:
+    """The per-branch ``predict``/``update`` loop, as a :class:`Replay`.
 
     This is the semantic definition every fast kernel must match
     bit-for-bit, and the only loop body in the simulator: collision
     instrumentation hangs off the optional ``tracker`` rather than
-    duplicating the loop.
+    duplicating the loop, and the replay carries its collision pairs.
     """
+    import numpy
+
     addresses = trace.addresses
     outcomes = trace.outcomes
     predict = predictor.predict
     update = predictor.update
     observe = tracker.observe_lookup if tracker is not None else None
     classify = tracker.classify if tracker is not None else None
-    mispredictions = 0
+    predictions = bytearray(len(addresses))
     # repro: allow[PERF001] -- this IS the semantic reference the fast
     # kernels must match bit-for-bit; it stays scalar by definition
     for i in range(len(addresses)):
@@ -69,12 +78,35 @@ def _reference_loop(
         predicted = predict(address)
         collisions = observe(address) if observe is not None else None
         update(address, taken, predicted)
-        correct = predicted == taken
-        if not correct:
-            mispredictions += 1
+        predictions[i] = predicted
         if classify is not None:
-            classify(collisions, correct)
-    return mispredictions
+            classify(collisions, predicted == taken)
+    collided = None
+    if tracker is not None:
+        collided = (numpy.array(tracker.victims, dtype=numpy.intp),
+                    numpy.array(tracker.aggressors, dtype=numpy.intp))
+    return Replay(numpy.frombuffer(predictions, dtype=numpy.bool_),
+                  trace.arrays()[1], 0, collided)
+
+
+def replay(
+    trace: BranchTrace,
+    predictor: BranchPredictor,
+    kernel: str = "auto",
+    track_collisions: bool = False,
+) -> Replay:
+    """One replay of a bare ``predictor`` over ``trace`` (trained in
+    place), for the per-branch profiling views: the kernel's when one
+    applies and ``kernel`` allows it, else the reference loop's, with a
+    fresh collision tracker when ``track_collisions``."""
+    validate_kernel_mode(kernel)
+    result = None
+    if kernel != "reference":
+        result = try_fast_replay(trace, predictor, track_collisions)
+    if result is None:
+        tracker = CollisionTracker(predictor) if track_collisions else None
+        result = _reference_loop(trace, predictor, tracker)
+    return result
 
 
 def simulate(
@@ -101,12 +133,12 @@ def simulate(
     mispredictions = None
     if kernel != "reference":
         mispredictions = try_fast_simulate(
-            trace, predictor, require=kernel == "fast",
-            collisions=collision_counts,
+            trace, predictor, collisions=collision_counts,
         )
     if mispredictions is None:
         tracker = CollisionTracker(predictor) if track_collisions else None
-        mispredictions = _reference_loop(trace, predictor, tracker)
+        replayed = _reference_loop(trace, predictor, tracker)
+        mispredictions = replayed.mispredictions
         if tracker is not None:
             collision_counts = tracker.counts
 

@@ -14,10 +14,11 @@ Scaling knobs (environment variables, all optional):
 ``REPRO_SEED``
     Root seed for every workload and trace (default 42).
 ``REPRO_KERNEL``
-    Simulation kernel mode (default ``auto``; see :mod:`repro.kernels`).
-    Kernels are bit-identical to the reference loop by contract, so this
-    knob changes wall time, never results -- it is deliberately *not*
-    part of any cache key.
+    Simulation kernel mode, ``auto`` (the default) or ``reference`` (see
+    :mod:`repro.kernels`); it steers every simulation and the phase-one
+    accuracy and collision passes.  Kernels are bit-identical to the
+    reference loop by contract, so this knob changes wall time, never
+    results -- it is deliberately *not* part of any cache key.
 ``REPRO_TRACE_SUITE``
     When set, name of a pinned trace suite (see :mod:`repro.traces`):
     every ``ctx.trace()`` loads the suite's content-digested artifact
@@ -92,7 +93,7 @@ ENV_KNOBS = {
     "REPRO_TRACE_LENGTH": ("int", 200_000, "branches per measurement trace"),
     "REPRO_EXPERIMENT_SITE_SCALE": ("float", 0.125, "static-branch scale for experiment workloads"),
     "REPRO_SEED": ("int", 42, "root seed for every workload and trace"),
-    "REPRO_KERNEL": ("str", "auto", "simulation kernel mode (auto/fast/reference)"),
+    "REPRO_KERNEL": ("str", "auto", "simulation kernel mode (auto/reference)"),
     "REPRO_TRACE_SUITE": ("str", None, "pinned trace suite name (unset = regenerate)"),
     "REPRO_TRACE_DIR": ("str", ".repro-traces", "root of the pinned-trace store"),
     "REPRO_CACHE_DIR": ("str", None, "persistent result-cache directory (unset = CLI default)"),
@@ -124,7 +125,7 @@ def default_seed() -> int:
 
 
 def default_kernel() -> str:
-    """Simulation kernel mode (``auto``/``fast``/``reference``)."""
+    """Simulation kernel mode (``auto``/``reference``)."""
     kernel = env_str("REPRO_KERNEL", "auto")
     validate_kernel_mode(kernel)
     return kernel
@@ -295,15 +296,9 @@ class ExperimentContext:
         predictor_kwargs: dict | None = None,
     ) -> AccuracyProfile:
         """Per-branch accuracy of a fresh predictor over the cached trace."""
-        kwargs = predictor_kwargs or {}
-        key = (program, input_name, self.trace_length, predictor_name,
-               size_bytes, tuple(sorted(kwargs.items())))
-        accuracy = self._accuracies.get(key)
-        if accuracy is None:
-            predictor = make_predictor(predictor_name, size_bytes, **kwargs)
-            accuracy = measure_accuracy(self.trace(program, input_name), predictor)
-            self._accuracies[key] = accuracy
-        return accuracy
+        return self._view(self._accuracies, measure_accuracy, program,
+                          predictor_name, size_bytes, input_name,
+                          predictor_kwargs)
 
     def collision_profile(
         self,
@@ -314,16 +309,26 @@ class ExperimentContext:
         predictor_kwargs: dict | None = None,
     ) -> CollisionProfile:
         """Per-branch collision involvement of a fresh predictor."""
+        return self._view(self._collision_profiles,
+                          measure_collision_involvement, program,
+                          predictor_name, size_bytes, input_name,
+                          predictor_kwargs)
+
+    def _view(self, memo: dict, view, program: str, predictor_name: str,
+              size_bytes: int, input_name: str,
+              predictor_kwargs: dict | None):
+        """``view(trace, predictor, kernel=...)`` of a fresh predictor
+        over the cached trace, memoized in ``memo``; the replay under it
+        follows the context's ``kernel``."""
         kwargs = predictor_kwargs or {}
         key = (program, input_name, self.trace_length, predictor_name,
                size_bytes, tuple(sorted(kwargs.items())))
-        profile = self._collision_profiles.get(key)
+        profile = memo.get(key)
         if profile is None:
-            predictor = make_predictor(predictor_name, size_bytes, **kwargs)
-            profile = measure_collision_involvement(
-                self.trace(program, input_name), predictor
-            )
-            self._collision_profiles[key] = profile
+            profile = view(self.trace(program, input_name),
+                           make_predictor(predictor_name, size_bytes, **kwargs),
+                           kernel=self.kernel)
+            memo[key] = profile
         return profile
 
     # -- hint selection ---------------------------------------------------

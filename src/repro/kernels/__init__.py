@@ -23,30 +23,29 @@ feeding one scalar recurrence (see :mod:`repro.kernels.dynamic`).  A
 kernel-backed family replays on that family's kernel under every
 :class:`~repro.arch.isa.ShiftPolicy`.  Collision tracking rides on the
 scan families' own sort (see :mod:`repro.kernels.scan`); the hybrids
-decline tracked runs.  The mode is selected by the ``kernel`` knob on
-:func:`repro.core.simulator.simulate`:
+decline tracked runs.  Every replay, like the reference loop, returns
+a per-event :class:`Replay`.  The mode is selected by the ``kernel``
+knob on :func:`repro.core.simulator.simulate` and on the profiling
+views:
 
 ``"auto"``
-    Use a fast kernel when numpy is importable and the predictor has
-    one; otherwise run the reference loop.  The default everywhere.
-``"fast"``
-    Like ``"auto"`` but a missing numpy is a
-    :class:`~repro.errors.ConfigurationError` instead of a silent
-    fallback.  Predictors with no kernel (agree, yags, local,
-    tournament, subclasses), combined predictors wrapping one, and
-    collision-tracked hybrids still use the reference loop.
+    Use a fast kernel when the predictor has one; otherwise run the
+    reference loop.  The default everywhere.  Predictors with no kernel
+    (agree, yags, local, tournament, subclasses), combined predictors
+    wrapping one, and collision-tracked hybrids use the reference loop.
 ``"reference"``
     Always run the per-branch loop (the baseline the differential
     tests and `repro bench` compare against).
 
-numpy is imported lazily inside the kernels so this package -- and the
-reference loop -- stay fully functional when numpy is absent.
+numpy is imported inside the kernels, never at module level, so loading
+this package loads no numpy.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.kernels import dynamic
+from repro.kernels.dynamic import Replay
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.bimode import BiModePredictor
@@ -58,14 +57,14 @@ from repro.workloads.trace import BranchTrace
 
 __all__ = [
     "KERNEL_MODES",
+    "Replay",
     "has_fast_kernel",
-    "numpy_available",
-    "try_fast_predictions",
+    "try_fast_replay",
     "try_fast_simulate",
     "validate_kernel_mode",
 ]
 
-KERNEL_MODES = ("auto", "fast", "reference")
+KERNEL_MODES = ("auto", "reference")
 
 _KERNELS = {
     BimodalPredictor: dynamic.replay_bimodal,
@@ -78,15 +77,6 @@ _KERNELS = {
 returning a :class:`~repro.kernels.dynamic.Replay` with the predictor's
 state advanced, or ``None`` (state untouched) when the family cannot
 track collisions."""
-
-
-def numpy_available() -> bool:
-    """True when numpy can be imported (cheap after the first call)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def validate_kernel_mode(kernel: str) -> str:
@@ -127,18 +117,6 @@ def _family(predictor: BranchPredictor) -> BranchPredictor:
     return predictor
 
 
-def _numpy_ready(require: bool) -> bool:
-    """numpy importability; with ``require`` its absence raises."""
-    if numpy_available():
-        return True
-    if require:
-        raise ConfigurationError(
-            "kernel='fast' requires numpy, which is not importable; "
-            "use kernel='auto' to fall back to the reference loop"
-        )
-    return False
-
-
 def has_fast_kernel(predictor: BranchPredictor) -> bool:
     """True when ``predictor`` is exactly a kernel-backed family, or a
     combined predictor wrapping one."""
@@ -149,13 +127,10 @@ def _replay(
     trace: BranchTrace,
     predictor: BranchPredictor,
     family: BranchPredictor,
-    require: bool,
     track_collisions: bool,
-):
+) -> Replay | None:
     """``family``'s replay of ``predictor`` over ``trace``, or ``None``
     when no kernel applies (predictor state untouched)."""
-    if not _numpy_ready(require):
-        return None
     kernel = _KERNELS.get(type(family))
     if kernel is None or not _within_limits(family, trace):
         return None
@@ -165,7 +140,6 @@ def _replay(
 def try_fast_simulate(
     trace: BranchTrace,
     predictor: BranchPredictor,
-    require: bool = False,
     collisions: CollisionCounts | None = None,
 ) -> int | None:
     """Replay ``trace`` through a fast kernel, if one applies.
@@ -173,8 +147,6 @@ def try_fast_simulate(
     Returns the misprediction count with the predictor's state advanced
     exactly as the reference loop would have left it, or ``None`` when
     no kernel applies and the caller should run the reference loop.
-    With ``require=True`` (the ``kernel="fast"`` knob) a missing numpy
-    raises instead of falling back.
 
     With ``collisions``, the replay also runs the tag-check
     instrumentation of Figures 1-6 and adds exactly what a fresh
@@ -182,7 +154,7 @@ def try_fast_simulate(
     counted to that record (left untouched when ``None`` is returned,
     as it is for the hybrid families).
     """
-    replay = _replay(trace, predictor, _family(predictor), require,
+    replay = _replay(trace, predictor, _family(predictor),
                      collisions is not None)
     if replay is None:
         return None
@@ -191,27 +163,13 @@ def try_fast_simulate(
     return replay.mispredictions
 
 
-def try_fast_predictions(
+def try_fast_replay(
     trace: BranchTrace,
     predictor: BranchPredictor,
-    require: bool = False,
-    return_collisions: bool = False,
-):
-    """Replay ``trace``, returning the per-event prediction array.
-
-    The profiling twin of :func:`try_fast_simulate`: same kernels, same
-    limit guards, same state-advance contract, but bare predictors
-    only, and the result is a numpy bool array of each event's
-    prediction (compare against ``trace.arrays()[1]`` for correctness
-    per branch) instead of the misprediction total.  With
-    ``return_collisions`` the result is ``(predictions, victims,
-    aggressors)``, the last two from the scan's tag check (see
-    :func:`repro.kernels.scan.scan_counters`).  Returns ``None`` when no
-    kernel applies and the caller should run the reference loop.
-    """
-    replay = _replay(trace, predictor, predictor, require, return_collisions)
-    if replay is None:
-        return None
-    if return_collisions:
-        return (replay.predictions, *replay.collisions)
-    return replay.predictions
+    track_collisions: bool = False,
+) -> Replay | None:
+    """The profiling views' twin of :func:`try_fast_simulate`: the
+    whole :class:`Replay` of a bare predictor (so its positions are
+    trace positions), or ``None`` when no kernel applies and the caller
+    should run the reference loop."""
+    return _replay(trace, predictor, predictor, track_collisions)

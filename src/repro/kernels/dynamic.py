@@ -39,8 +39,8 @@ Every kernel is bit-identical to the reference ``predict``/``update``
 loop by contract (same mispredictions, same collision counts, same
 final state), including warm-started predictors.  Callers go through
 :func:`repro.kernels.try_fast_simulate`, which performs the type and
-limit checks; numpy is imported lazily so the package stays importable
-(and the reference loop fully functional) without it.
+limit checks; numpy is imported inside the functions, so loading the
+module loads no numpy.
 """
 
 from __future__ import annotations
@@ -131,12 +131,15 @@ def _final_history(outcomes, length, initial):
 class Replay(NamedTuple):
     """What one whole-trace replay saw, in trace order.
 
-    ``predictions`` and ``outcomes`` cover the events that looked up the
-    counter tables: every event for a bare predictor, the dynamically
-    predicted ones under a combined predictor.  ``collisions`` is the
-    scan's ``(victims, aggressors)`` position pair over those events
-    (see :func:`~repro.kernels.scan.scan_counters`) when the replay was
-    asked to track collisions, else ``None``.
+    ``predictions`` and ``outcomes`` are numpy bool arrays over the
+    events the replay predicted itself: every event for a bare
+    predictor and for the reference loop, the dynamically predicted
+    ones under a combined predictor's kernel, which counts the rest in
+    ``static_mispredictions``.  ``collisions`` is the
+    ``(victims, aggressors)`` pair of position arrays over those events
+    (the scan's, see :func:`~repro.kernels.scan.scan_counters`, or the
+    :class:`~repro.predictors.collisions.CollisionTracker`'s) when the
+    replay tracked collisions, else ``None``.
     """
 
     predictions: object

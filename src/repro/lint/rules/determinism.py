@@ -129,6 +129,40 @@ _BANNED_IMPORTS: set[tuple[str, str]] = {
 }
 
 
+def _import_aliases(tree: ast.AST) -> dict[str, str]:
+    """Local name -> dotted origin for every ``import a as b`` and every
+    ``from a import b as c`` that is not itself a banned import (those
+    are flagged where they are imported)."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                if (alias.asname is not None
+                        and (node.module, alias.name) not in _BANNED_IMPORTS):
+                    aliases[alias.asname] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _banned_source(node: ast.AST,
+                   aliases: dict[str, str]) -> tuple[str, str] | None:
+    """``(name, what it reads)`` when ``node`` names a banned function,
+    module aliases resolved."""
+    dotted = _dotted_name(node)
+    if dotted is None:
+        return None
+    head, _, rest = dotted.partition(".")
+    dotted = aliases.get(head, head) + (f".{rest}" if rest else "")
+    parts = dotted.split(".")
+    if parts[0] == "secrets":
+        return dotted, "OS entropy"
+    why = _BANNED_CALL_TAILS.get(tuple(parts[-2:]))
+    return None if why is None else (dotted, why)
+
+
 @register
 class WallClockRule(FileRule):
     """DET002: no wall-clock, OS-entropy, or set-order nondeterminism.
@@ -137,6 +171,12 @@ class WallClockRule(FileRule):
     run happens; iterating a set feeds hash-order (which varies across
     processes for str keys under hash randomization) into whatever the
     loop builds.  Either way two "identical" runs stop agreeing.
+
+    Module aliases are resolved (``import time as t; t.time()``), and a
+    banned function referenced without being called
+    (``_clock = time.perf_counter``, ``default_factory=time.monotonic``)
+    is flagged where it is referenced: every later call through the
+    reference reads the same source, and no call check can see it.
     """
 
     rule_id = "DET002"
@@ -146,9 +186,19 @@ class WallClockRule(FileRule):
     example_good = "for site in sorted(set(sites)):"
 
     def check(self, ctx) -> Iterator[Finding]:
+        aliases = _import_aliases(ctx.tree)
+        callees: set[int] = set()
+        # ast.walk visits a Call before its func, so every callee is
+        # known before the reference check could see it.
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
+                callees.add(id(node.func))
+                yield from self._check_source(ctx, node, node.func, aliases,
+                                              "{}() reads {}")
+            elif isinstance(node, ast.Attribute) and id(node) not in callees:
+                yield from self._check_source(
+                    ctx, node, node, aliases, "{} is referenced, not "
+                    "called: every call through the reference reads {}")
             elif isinstance(node, ast.ImportFrom):
                 yield from self._check_import(ctx, node)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -158,27 +208,15 @@ class WallClockRule(FileRule):
                 for generator in node.generators:
                     yield from self._check_iteration(ctx, generator.iter)
 
-    def _check_call(self, ctx, node: ast.Call) -> Iterator[Finding]:
-        dotted = _dotted_name(node.func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
-        if parts[0] == "secrets":
+    def _check_source(self, ctx, node: ast.AST, function: ast.AST,
+                      aliases: dict[str, str],
+                      template: str) -> Iterator[Finding]:
+        banned = _banned_source(function, aliases)
+        if banned is not None:
             yield self.finding(
                 ctx, node,
-                f"{dotted}() draws OS entropy; results would no longer be "
-                "a function of the root seed",
-            )
-            return
-        if len(parts) < 2:
-            return
-        tail = (parts[-2], parts[-1])
-        why = _BANNED_CALL_TAILS.get(tail)
-        if why is not None:
-            yield self.finding(
-                ctx, node,
-                f"{dotted}() reads {why}; output must depend only on the "
-                "root seed, not on when or where a run happens",
+                template.format(*banned) + "; output must depend only on "
+                "the root seed, not on when or where a run happens",
             )
 
     def _check_import(self, ctx, node: ast.ImportFrom) -> Iterator[Finding]:

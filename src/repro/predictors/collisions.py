@@ -66,16 +66,16 @@ class CollisionTracker:
 
         n = tracker.observe_lookup(address)      # after predict()
         tracker.classify(n, prediction_correct)  # after resolution
+
+    Each collision is also recorded as ``(victims[k], aggressors[k])``:
+    the colliding lookup and the tag's previous user, as positions in
+    the tracker's sequence of lookups (trace positions, when it observes
+    every event), once per table that collided.
     """
 
     def __init__(self, predictor: BranchPredictor):
         self.predictor = predictor
-        # -1 marks "never used"; first use of a counter is not a
-        # collision (there is no previous branch to collide with).
-        self.tags: list[list[int]] = [
-            [-1] * entries for entries in predictor.table_entry_counts()
-        ]
-        self.counts = CollisionCounts()
+        self.reset()
 
     def observe_lookup(self, address: int) -> int:
         """Record the predictor's latest lookup; return collisions seen.
@@ -86,13 +86,20 @@ class CollisionTracker:
         collisions = 0
         counts = self.counts
         tags = self.tags
+        users = self.users
+        position = self._position
+        self._position = position + 1
         for table_id, index in self.predictor.accessed():
             counts.lookups += 1
             table_tags = tags[table_id]
+            table_users = users[table_id]
             previous = table_tags[index]
             if previous >= 0 and previous != address:
                 collisions += 1
+                self.victims.append(position)
+                self.aggressors.append(table_users[index])
             table_tags[index] = address
+            table_users[index] = position
         counts.collisions += collisions
         return collisions
 
@@ -106,8 +113,15 @@ class CollisionTracker:
             self.counts.destructive += collisions
 
     def reset(self) -> None:
-        """Clear tags and counts."""
-        for table_tags in self.tags:
-            for i in range(len(table_tags)):
-                table_tags[i] = -1
+        """Clear tags, recorded collisions and counts."""
+        # -1 marks "never used"; first use of a counter is not a
+        # collision (there is no previous branch to collide with).
+        self.tags: list[list[int]] = [
+            [-1] * entries for entries in self.predictor.table_entry_counts()
+        ]
+        # Each counter's last user, as a lookup position.
+        self.users: list[list[int]] = [list(tags) for tags in self.tags]
+        self.victims: list[int] = []
+        self.aggressors: list[int] = []
         self.counts = CollisionCounts()
+        self._position = 0

@@ -16,6 +16,7 @@ from typing import Mapping
 
 from repro.errors import ProfileError
 from repro.predictors.base import BranchPredictor
+from repro.utils.tally import tally
 from repro.workloads.trace import BranchTrace
 
 __all__ = ["BranchAccuracy", "AccuracyProfile", "measure_accuracy"]
@@ -118,85 +119,31 @@ class AccuracyProfile:
             raise ProfileError(f"malformed accuracy JSON: {exc}") from exc
 
 
-def measure_accuracy(trace: BranchTrace, predictor: BranchPredictor) -> AccuracyProfile:
+def measure_accuracy(
+    trace: BranchTrace, predictor: BranchPredictor, kernel: str = "auto"
+) -> AccuracyProfile:
     """Simulate ``predictor`` over ``trace``, recording per-branch hits.
 
     The predictor is consumed (trained) by the measurement; pass a fresh
     instance.  This is the phase-one simulation of the paper's
     ``Static_Acc`` methodology.
 
-    Kernel-backed predictor families replay through
-    :func:`repro.kernels.try_fast_predictions` and tally per-branch
-    hits with one sort-based groupby (the
-    :meth:`~repro.profiling.profile.ProgramProfile.from_trace` idiom);
-    the result is bit-identical to the reference loop, including the
-    mapping's first-occurrence insertion order.
+    One :func:`~repro.core.simulator.replay` (the kernel's, or the
+    reference loop's under ``kernel="reference"`` or when no kernel
+    applies) and one :func:`~repro.utils.tally.tally` of its hits by
+    address, so the mapping iterates in first-execution order.
     """
-    from repro.kernels import try_fast_predictions
+    # Imported here: the simulator imports this module.
+    from repro.core.simulator import replay
 
-    predictions = try_fast_predictions(trace, predictor)
-    if predictions is None:
-        return _measure_accuracy_scalar(trace, predictor)
-    import numpy
-
-    if len(trace) == 0:
-        return AccuracyProfile(
-            trace.program_name, trace.input_name, predictor.name, {}
-        )
-    addresses, outcomes = trace.arrays()
-    n = addresses.shape[0]
-    correct = (predictions == outcomes).astype(numpy.int64)
-    sidx = numpy.argsort(addresses)
-    sorted_addr = addresses[sidx]
-    starts = numpy.flatnonzero(
-        numpy.r_[True, sorted_addr[1:] != sorted_addr[:-1]]
+    result = replay(trace, predictor, kernel)
+    addresses, _ = trace.arrays()
+    keys, executions, (correct,) = tally(
+        addresses, result.predictions == result.outcomes
     )
-    executions = numpy.diff(numpy.r_[starts, n])
-    hits = numpy.add.reduceat(correct[sidx], starts)
-    # The sort need not be stable: each group's first occurrence is the
-    # minimum original index within the group.
-    first = numpy.minimum.reduceat(sidx, starts)
-    order = numpy.argsort(first, kind="stable")
     branches = {
         address: BranchAccuracy(executions=e, correct=c)
-        for address, e, c in zip(
-            sorted_addr[starts][order].tolist(),
-            executions[order].tolist(),
-            hits[order].tolist(),
-        )
-    }
-    return AccuracyProfile(
-        trace.program_name, trace.input_name, predictor.name, branches
-    )
-
-
-def _measure_accuracy_scalar(
-    trace: BranchTrace, predictor: BranchPredictor
-) -> AccuracyProfile:
-    """Reference loop (kernel-less predictors, and the differential baseline)."""
-    counts: dict[int, list[int]] = {}
-    predict = predictor.predict
-    update = predictor.update
-    addresses = trace.addresses
-    outcomes = trace.outcomes
-    # repro: allow[PERF001] -- the numpy-free fallback and correctness
-    # reference; kernel-backed families take the vectorized path above,
-    # which is differentially tested against this loop
-    for i in range(len(addresses)):
-        address = addresses[i]
-        taken = outcomes[i]
-        predicted = predict(address)
-        update(address, taken, predicted)
-        entry = counts.get(address)
-        if entry is None:
-            counts[address] = [1, 1 if predicted == taken else 0]
-        else:
-            entry[0] += 1
-            if predicted == taken:
-                entry[1] += 1
-    branches = {
-        address: BranchAccuracy(executions=c[0], correct=c[1])
-        for address, c in counts.items()
+        for address, e, c in zip(keys, executions, correct)
     }
     return AccuracyProfile(
         trace.program_name, trace.input_name, predictor.name, branches

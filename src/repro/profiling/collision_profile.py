@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.predictors.base import BranchPredictor
+from repro.utils.tally import tally
 from repro.workloads.trace import BranchTrace
 
 __all__ = ["CollisionInvolvement", "CollisionProfile", "measure_collision_involvement"]
@@ -91,7 +92,7 @@ class CollisionProfile:
 
 
 def measure_collision_involvement(
-    trace: BranchTrace, predictor: BranchPredictor
+    trace: BranchTrace, predictor: BranchPredictor, kernel: str = "auto"
 ) -> CollisionProfile:
     """Simulate ``predictor`` over ``trace``, attributing every collision
     to its victim and aggressor.
@@ -99,146 +100,42 @@ def measure_collision_involvement(
     The predictor is consumed (trained) by the measurement; pass a fresh
     instance.
 
-    Kernel-backed predictor families take a vectorized path: the
-    predictions and every collision's victim and aggressor come from
-    one :func:`repro.kernels.try_fast_predictions` replay (the previous
-    user of each counter falls out of the scan's own sort by counter
-    index), and the per-branch charges from bincounts.  Bit-identical
-    to the reference loop below, including the profile's
-    first-occurrence insertion order.
+    One tracked :func:`~repro.core.simulator.replay` (the scan kernel's,
+    or the reference loop's tag tracker under ``kernel="reference"``,
+    for kernel-less families and for the hybrids, whose kernels decline
+    tracking) yields each collision's victim and aggressor positions.
+    Each collision charges both parties once, on the victim's
+    correctness; a victim colliding in several tables is charged once
+    per table.  The charges become two per-event columns that one
+    :func:`~repro.utils.tally.tally` sums by address, so the profile
+    iterates in first-execution order (an aggressor always executed
+    before its victim).
     """
-    records = _fast_collision_records(trace, predictor)
-    if records is None:
-        return _measure_collision_involvement_scalar(trace, predictor)
-    return CollisionProfile(
-        trace.program_name, trace.input_name, predictor.name, records
-    )
-
-
-def _fast_collision_records(
-    trace: BranchTrace, predictor: BranchPredictor
-) -> dict[int, CollisionInvolvement] | None:
-    """Vectorized victim/aggressor attribution, or None (no kernel, or
-    one that cannot track collisions, as the hybrids' cannot).
-
-    The single-table families access exactly one counter per event, so
-    the scalar loop's tag array reduces to "the previous event with my
-    counter", which the replay's scan reports as aligned victim and
-    aggressor positions.  The victim and that one aggressor are each
-    charged once, on the victim's correctness.
-    """
-    from repro.kernels import try_fast_predictions
-
-    replay = try_fast_predictions(trace, predictor, return_collisions=True)
-    if replay is None:
-        return None
     import numpy
 
-    predictions, victims, aggressors = replay
-    addresses, outcomes = trace.arrays()
-    n = addresses.shape[0]
-    if n == 0:
-        return {}
+    # Imported here: the simulator imports this module.
+    from repro.core.simulator import replay
 
-    # Factorize addresses into ids ranked by first occurrence, so the
-    # records dict below iterates in the scalar loop's insertion order
-    # (an aggressor always executed before its victim, so first
-    # executions are the only insertions).
-    saddr = numpy.argsort(addresses)
-    sorted_addr = addresses[saddr]
-    starts = numpy.flatnonzero(
-        numpy.r_[True, sorted_addr[1:] != sorted_addr[:-1]]
-    )
-    groups = starts.shape[0]
-    first = numpy.minimum.reduceat(saddr, starts)
-    order = numpy.argsort(first, kind="stable")
-    rank = numpy.empty(groups, dtype=numpy.int64)
-    rank[order] = numpy.arange(groups)
-    group_of_sorted = numpy.cumsum(
-        numpy.r_[False, sorted_addr[1:] != sorted_addr[:-1]]
-    )
-    ids = numpy.empty(n, dtype=numpy.int64)
-    ids[saddr] = rank[group_of_sorted]
+    result = replay(trace, predictor, kernel, track_collisions=True)
+    victims, aggressors = result.collisions
+    hit = result.predictions[victims] == result.outcomes[victims]
+    events = len(trace)
 
-    executions = numpy.bincount(ids, minlength=groups)
-    col_correct = predictions[victims] == outcomes[victims]
-    victim_ids = ids[victims]
-    aggressor_ids = ids[aggressors]
-    constructive = (
-        numpy.bincount(victim_ids[col_correct], minlength=groups)
-        + numpy.bincount(aggressor_ids[col_correct], minlength=groups)
+    def charges(mask):
+        return (numpy.bincount(victims[mask], minlength=events)
+                + numpy.bincount(aggressors[mask], minlength=events))
+
+    addresses, _ = trace.arrays()
+    keys, executions, (destructive, constructive) = tally(
+        addresses, charges(~hit), charges(hit)
     )
-    destructive = (
-        numpy.bincount(victim_ids[~col_correct], minlength=groups)
-        + numpy.bincount(aggressor_ids[~col_correct], minlength=groups)
-    )
-    return {
+    records = {
         address: CollisionInvolvement(
             executions=e, destructive=d, constructive=c
         )
-        for address, e, d, c in zip(
-            sorted_addr[starts][order].tolist(),
-            executions.tolist(),
-            destructive.tolist(),
-            constructive.tolist(),
-        )
+        for address, e, d, c in zip(keys, executions, destructive,
+                                    constructive)
     }
-
-
-def _measure_collision_involvement_scalar(
-    trace: BranchTrace, predictor: BranchPredictor
-) -> CollisionProfile:
-    """Reference loop (kernel-less predictors, and the differential baseline)."""
-    records: dict[int, CollisionInvolvement] = {}
-    tags: list[list[int]] = [
-        [-1] * entries for entries in predictor.table_entry_counts()
-    ]
-    predict = predictor.predict
-    update = predictor.update
-    accessed = predictor.accessed
-    addresses = trace.addresses
-    outcomes = trace.outcomes
-
-    # repro: allow[PERF001] -- the numpy-free fallback and correctness
-    # reference; kernel-backed families take the vectorized path above,
-    # which is differentially tested against this loop
-    for i in range(len(addresses)):
-        address = addresses[i]
-        taken = outcomes[i]
-        predicted = predict(address)
-        # Tag check before update (updates may change accessed()).
-        aggressors: list[int] = []
-        for table_id, index in accessed():
-            table_tags = tags[table_id]
-            previous = table_tags[index]
-            if previous >= 0 and previous != address:
-                aggressors.append(previous)
-            table_tags[index] = address
-        update(address, taken, predicted)
-
-        victim = records.get(address)
-        if victim is None:
-            victim = CollisionInvolvement()
-            records[address] = victim
-        victim.executions += 1
-        if aggressors:
-            if predicted == taken:
-                victim.constructive += len(aggressors)
-                for aggressor_address in aggressors:
-                    aggressor = records.get(aggressor_address)
-                    if aggressor is None:
-                        aggressor = CollisionInvolvement()
-                        records[aggressor_address] = aggressor
-                    aggressor.constructive += 1
-            else:
-                victim.destructive += len(aggressors)
-                for aggressor_address in aggressors:
-                    aggressor = records.get(aggressor_address)
-                    if aggressor is None:
-                        aggressor = CollisionInvolvement()
-                        records[aggressor_address] = aggressor
-                    aggressor.destructive += 1
-
     return CollisionProfile(
         trace.program_name, trace.input_name, predictor.name, records
     )

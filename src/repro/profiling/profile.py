@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.errors import ProfileError
+from repro.utils.tally import tally
 from repro.workloads.trace import BranchTrace
 
 __all__ = ["BranchProfile", "ProgramProfile"]
@@ -88,50 +89,26 @@ class ProgramProfile:
     def from_trace(cls, trace: BranchTrace) -> "ProgramProfile":
         """Profile a trace (the Atom instrumentation pass of phase one).
 
-        Uses a whole-column numpy tally when numpy is available; the
-        result is bit-identical to the scalar pass, including the
-        mapping's first-occurrence insertion order (which ``to_json``
-        serializes).  The tally is a sort-based groupby: a plain
-        argsort (no stable kind needed -- first occurrences come from
-        a per-group minimum) and ``reduceat`` group sums.
+        One :func:`~repro.utils.tally.tally` of the outcomes by address;
+        the mapping's insertion order (which ``to_json`` serializes) is
+        each branch's first execution, as in :meth:`_from_trace_scalar`.
         """
-        try:
-            import numpy
-        except ImportError:
-            return cls._from_trace_scalar(trace)
-        if len(trace) == 0:
-            return cls(trace.program_name, trace.input_name, {})
         addresses, outcomes = trace.arrays()
-        n = addresses.shape[0]
-        sidx = numpy.argsort(addresses)
-        sorted_addr = addresses[sidx]
-        starts = numpy.flatnonzero(
-            numpy.r_[True, sorted_addr[1:] != sorted_addr[:-1]]
-        )
-        executions = numpy.diff(numpy.r_[starts, n])
-        taken = numpy.add.reduceat(
-            outcomes[sidx].astype(numpy.int64), starts
-        )
-        # The sort need not be stable: each group's first occurrence
-        # is the minimum original index within the group.
-        first = numpy.minimum.reduceat(sidx, starts)
-        order = numpy.argsort(first, kind="stable")
+        keys, executions, (taken,) = tally(addresses, outcomes)
         branches = {
             address: BranchProfile(executions=e, taken=t)
-            for address, e, t in zip(
-                sorted_addr[starts][order].tolist(),
-                executions[order].tolist(),
-                taken[order].tolist(),
-            )
+            for address, e, t in zip(keys, executions, taken)
         }
         return cls(trace.program_name, trace.input_name, branches)
 
     @classmethod
     def _from_trace_scalar(cls, trace: BranchTrace) -> "ProgramProfile":
-        """Numpy-free fallback (and the differential-test reference)."""
+        """The per-branch loop :meth:`from_trace` must equal: the
+        tally's differential-test oracle and the ``profile/reference``
+        bench baseline."""
         counts: dict[int, list[int]] = {}
-        # repro: allow[PERF001] -- the numpy-free fallback; the
-        # vectorized pass above is the hot path and is differentially
+        # repro: allow[PERF001] -- the tally's scalar oracle; the
+        # whole-column tally above is the hot path and is differentially
         # tested against this loop
         for address, taken in zip(trace.addresses, trace.outcomes):
             entry = counts.get(address)

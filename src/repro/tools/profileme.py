@@ -20,11 +20,13 @@ of sampling sparsity on selection quality can be studied directly.
 
 from __future__ import annotations
 
+from repro.core.simulator import replay
 from repro.errors import ProfileError
 from repro.predictors.base import BranchPredictor
 from repro.profiling.accuracy import AccuracyProfile, BranchAccuracy
 from repro.profiling.profile import BranchProfile, ProgramProfile
 from repro.utils.rng import derive_rng
+from repro.utils.tally import tally
 from repro.workloads.trace import BranchTrace
 
 __all__ = ["ProfileMeSampler"]
@@ -56,63 +58,39 @@ class ProfileMeSampler:
         The predictor sees (and trains on) *every* branch -- sampling
         affects only what gets recorded, exactly like hardware sampling
         under a running predictor.  Returns the sampled bias profile and
-        the sampled accuracy profile.
+        the sampled accuracy profile: one
+        :func:`~repro.utils.tally.tally` of the sampled events of one
+        :func:`~repro.core.simulator.replay`.
         """
+        import numpy
+
         rng = derive_rng(self.seed, "profileme", trace.program_name,
                          trace.input_name)
-        predict = predictor.predict
-        update = predictor.update
-        addresses = trace.addresses
-        outcomes = trace.outcomes
-
-        bias_counts: dict[int, list[int]] = {}
-        accuracy_counts: dict[int, list[int]] = {}
+        n = len(trace)
         if self.period == 1:
-            next_sample = 0
+            samples = numpy.arange(n)
         else:
-            next_sample = rng.randrange(self.period)
-
-        for i in range(len(addresses)):
-            address = addresses[i]
-            taken = outcomes[i]
-            predicted = predict(address)
-            update(address, taken, predicted)
-            if i < next_sample:
-                continue
-            # Record this sample and schedule the next.
-            next_sample = i + 1 + (
-                0 if self.period == 1 else rng.randrange(2 * self.period - 1)
-            )
-            entry = bias_counts.get(address)
-            if entry is None:
-                bias_counts[address] = [1, 1 if taken else 0]
-            else:
-                entry[0] += 1
-                if taken:
-                    entry[1] += 1
-            entry = accuracy_counts.get(address)
-            if entry is None:
-                accuracy_counts[address] = [1, 1 if predicted == taken else 0]
-            else:
-                entry[0] += 1
-                if predicted == taken:
-                    entry[1] += 1
-
-        bias_profile = ProgramProfile(
-            trace.program_name,
-            f"{trace.input_name}|sampled/{self.period}",
-            {
-                address: BranchProfile(executions=c[0], taken=c[1])
-                for address, c in bias_counts.items()
-            },
+            positions = []
+            position = rng.randrange(self.period)
+            while position < n:
+                positions.append(position)
+                position += 1 + rng.randrange(2 * self.period - 1)
+            samples = numpy.array(positions, dtype=numpy.intp)
+        result = replay(trace, predictor)
+        addresses, outcomes = trace.arrays()
+        keys, executions, (taken, correct) = tally(
+            addresses[samples], outcomes[samples],
+            (result.predictions == result.outcomes)[samples],
         )
+        input_name = f"{trace.input_name}|sampled/{self.period}"
+        bias_profile = ProgramProfile(trace.program_name, input_name, {
+            address: BranchProfile(executions=e, taken=t)
+            for address, e, t in zip(keys, executions, taken)
+        })
         accuracy_profile = AccuracyProfile(
-            trace.program_name,
-            bias_profile.input_name,
-            predictor.name,
-            {
-                address: BranchAccuracy(executions=c[0], correct=c[1])
-                for address, c in accuracy_counts.items()
+            trace.program_name, input_name, predictor.name, {
+                address: BranchAccuracy(executions=e, correct=c)
+                for address, e, c in zip(keys, executions, correct)
             },
         )
         return bias_profile, accuracy_profile

@@ -20,6 +20,9 @@ import them without cycles:
   reports (the "tables" of the paper).
 * :mod:`repro.utils.charts` -- plain-text chart rendering for experiment
   reports (the "figures" of the paper).
+* :mod:`repro.utils.tally` -- the first-occurrence groupby behind every
+  per-branch profile (it imports numpy inside the function, so loading
+  it loads no numpy).
 """
 
 from repro.utils.bits import bit_mask, fold_bits, is_power_of_two, log2_exact, mix64

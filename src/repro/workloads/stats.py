@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.profiling.profile import BranchProfile
+from repro.utils.tally import tally
 from repro.workloads.trace import BranchTrace
 
 __all__ = [
@@ -21,30 +23,9 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class SiteStats:
-    """Execution statistics for one static branch site within a trace."""
-
-    executions: int = 0
-    taken: int = 0
-
-    @property
-    def taken_rate(self) -> float:
-        """Fraction of executions that were taken."""
-        if self.executions == 0:
-            return 0.0
-        return self.taken / self.executions
-
-    @property
-    def bias(self) -> float:
-        """``max(taken-rate, not-taken-rate)`` -- the paper's bias."""
-        rate = self.taken_rate
-        return max(rate, 1.0 - rate)
-
-    @property
-    def majority_taken(self) -> bool:
-        """The majority direction (ties count as taken)."""
-        return self.taken * 2 >= self.executions
+SiteStats = BranchProfile
+"""Execution statistics for one static branch site: the bias profile's
+per-branch record, keyed by site index instead of address."""
 
 
 @dataclass(slots=True)
@@ -87,18 +68,23 @@ class TraceCharacterization:
 
 
 def characterize(trace: BranchTrace) -> TraceCharacterization:
-    """Compute per-site and aggregate statistics for a trace."""
-    site_stats: dict[int, SiteStats] = {}
-    taken_total = 0
-    for site, taken in zip(trace.site_indices, trace.outcomes):
-        stats = site_stats.get(site)
-        if stats is None:
-            stats = SiteStats()
-            site_stats[site] = stats
-        stats.executions += 1
-        if taken:
-            stats.taken += 1
-            taken_total += 1
+    """Compute per-site and aggregate statistics for a trace.
+
+    One :func:`~repro.utils.tally.tally` of the outcomes by site, over
+    temporary columns: the trace's memoized :meth:`~BranchTrace.arrays`
+    are never built here, so characterizing a trace costs no memory
+    that outlives the call.
+    """
+    import numpy
+
+    sites, executions, (taken,) = tally(
+        numpy.asarray(trace.site_indices, dtype=numpy.int64),
+        numpy.asarray(trace.outcomes, dtype=numpy.bool_),
+    )
+    site_stats = {
+        site: SiteStats(executions=e, taken=t)
+        for site, e, t in zip(sites, executions, taken)
+    }
     branch_count = len(trace)
     instruction_count = trace.instruction_count
     return TraceCharacterization(
@@ -110,7 +96,7 @@ def characterize(trace: BranchTrace) -> TraceCharacterization:
         cbrs_per_ki=(1000.0 * branch_count / instruction_count)
         if instruction_count
         else 0.0,
-        taken_rate=(taken_total / branch_count) if branch_count else 0.0,
+        taken_rate=(sum(taken) / branch_count) if branch_count else 0.0,
         site_stats=site_stats,
     )
 

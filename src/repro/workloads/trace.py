@@ -28,8 +28,9 @@ Three interchangeable serializations share one content identity
 
 The trace-length code paths (``validate``, ``dump``, ``load_stream``)
 run whole-column numpy passes; the scalar loops they replaced survive as
-module-private ``_*_scalar`` reference implementations used as the
-numpy-free fallback and as the bit-identity oracle in the test suite.
+module-private ``_*_scalar`` reference implementations, used for what
+the columns cannot carry (ints beyond int64, malformed text that needs
+an exact diagnostic) and as the bit-identity oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -160,11 +161,8 @@ class BranchTrace:
             )
         if n == 0:
             return
-        try:
-            import numpy
-        except ImportError:
-            _validate_scalar(self)
-            return
+        import numpy
+
         try:
             gaps = numpy.asarray(self.gaps, dtype=numpy.int64)
             addresses = numpy.asarray(self.addresses, dtype=numpy.int64)
@@ -286,11 +284,8 @@ class BranchTrace:
         stream.write(f"{self.program_name} {self.input_name} {len(self)}\n")
         if not self.site_indices:
             return
-        try:
-            import numpy
-        except ImportError:
-            _dump_records_scalar(self, stream)
-            return
+        import numpy
+
         try:
             sites = numpy.asarray(self.site_indices, dtype=numpy.int64)
             addresses = numpy.asarray(self.addresses, dtype=numpy.int64)
@@ -571,10 +566,8 @@ def _parse_records(body: str) -> tuple[list[int], list[int], list[bool], list[in
     tokens = body.split()
     if len(tokens) != 4 * len(lines):
         return _parse_records_scalar(lines)
-    try:
-        import numpy
-    except ImportError:
-        return _parse_records_scalar(lines)
+    import numpy
+
     line_column = numpy.asarray(lines)
     canonical = (
         bool((numpy.char.count(line_column, " ") == 3).all())
@@ -601,18 +594,19 @@ def _parse_records(body: str) -> tuple[list[int], list[int], list[bool], list[in
 # ---------------------------------------------------------------------------
 # Scalar reference implementations
 #
-# The per-record loops the vectorized paths replaced.  They are the
-# numpy-free fallback and the oracle the differential tests compare
-# against; nothing on the hot path reaches them when numpy is available.
+# The per-record loops the vectorized paths replaced.  They handle what
+# the int64 columns cannot carry and malformed input, and are the oracle
+# the differential tests compare against; well-formed traces never
+# reach them.
 # ---------------------------------------------------------------------------
 
 
 def _validate_scalar(trace: BranchTrace) -> None:
     """Per-record reference for :meth:`BranchTrace.validate` (column checks)."""
-    for i, gap in enumerate(trace.gaps):  # repro: allow[PERF001] -- numpy-free fallback; the vectorized pass above is the hot path
+    for i, gap in enumerate(trace.gaps):  # repro: allow[PERF001] -- beyond-int64 fallback; the vectorized pass above is the hot path
         if gap < 1:
             raise TraceFormatError(f"record {i} has gap {gap} < 1")
-    for i, address in enumerate(trace.addresses):  # repro: allow[PERF001] -- numpy-free fallback
+    for i, address in enumerate(trace.addresses):  # repro: allow[PERF001] -- beyond-int64 fallback
         # repro: allow[BIT001] -- alignment validation, not table indexing
         if address % 4 != 0:
             raise TraceFormatError(
@@ -623,7 +617,7 @@ def _validate_scalar(trace: BranchTrace) -> None:
 def _dump_records_scalar(trace: BranchTrace, stream: TextIO) -> None:
     """Per-record reference for the record block of :meth:`BranchTrace.dump`."""
     write = stream.write
-    for i in range(len(trace.site_indices)):  # repro: allow[PERF001] -- numpy-free fallback; the vectorized pass above is the hot path
+    for i in range(len(trace.site_indices)):  # repro: allow[PERF001] -- beyond-int64 fallback; the vectorized pass above is the hot path
         write(
             f"{trace.site_indices[i]} {trace.addresses[i]:x} "
             f"{1 if trace.outcomes[i] else 0} {trace.gaps[i]}\n"

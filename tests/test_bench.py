@@ -132,35 +132,35 @@ class TestCompare:
 
 class TestSuite:
     def test_kernel_cases_pair_reference_and_fast(self):
-        names = [case.name for case in kernel_cases(include_fast=True)]
+        cases = kernel_cases()
+        names = [case.name for case in cases]
         for family in ("gshare", "bimode", "2bcgskew"):
             assert f"{family}/reference" in names
             assert f"{family}/fast" in names
-        without = [case.name for case in kernel_cases(include_fast=False)]
-        assert all(name.endswith("/reference") for name in without)
+        # A /fast row runs the default kernel mode, a /reference row the
+        # reference loop.
+        assert {case.kernel for case in cases
+                if case.name.endswith("/fast")} == {"auto"}
+        assert {case.kernel for case in cases
+                if case.name.endswith("/reference")} == {"reference"}
 
     def test_profiling_cases_pair_scalar_and_vectorized(self):
-        names = [case.name for case in profiling_cases(include_fast=True)]
+        names = [case.name for case in profiling_cases()]
         assert names == ["profile/reference", "profile/fast"]
-        without = [case.name for case in profiling_cases(include_fast=False)]
-        assert without == ["profile/reference"]
 
     def test_collision_cases_pair_scalar_and_vectorized(self):
-        names = [case.name for case in collision_cases(include_fast=True)]
-        assert names == ["collision/reference", "collision/fast"]
-        without = [case.name for case in collision_cases(include_fast=False)]
-        assert without == ["collision/reference"]
+        cases = collision_cases()
+        assert [(case.name, case.kernel) for case in cases] == [
+            ("collision/reference", "reference"), ("collision/fast", "auto")]
 
     def test_combined_and_tracked_cases_pair_reference_and_fast(self):
-        combined = combined_cases(include_fast=True)
+        combined = combined_cases()
         assert [case.name for case in combined] \
             == ["combined/reference", "combined/fast"]
         assert all(case.scheme == "static_acc" and not case.end_to_end
                    for case in combined)
-        names = [case.name for case in tracked_cases(include_fast=True)]
+        names = [case.name for case in tracked_cases()]
         assert names == ["tracked/reference", "tracked/fast"]
-        without = [case.name for case in tracked_cases(include_fast=False)]
-        assert without == ["tracked/reference"]
 
     def test_replay_cases_pure_simulation(self):
         names = [case.name for case in replay_cases()]

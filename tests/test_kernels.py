@@ -10,32 +10,31 @@ complete observable state, across the five kernel-backed predictor
 families bare and under a :class:`CombinedPredictor` with every
 :class:`ShiftPolicy`, cold and warm starts, and the degenerate trace
 lengths and hint tables; the three scan families also with collision
-tracking, which the two hybrid families decline.
+tracking, which the two hybrid families decline.  The per-branch
+profiling views (accuracy, collision involvement) and the per-event
+replay under them are held to the same contract: ``kernel="auto"``
+with the reference loop disabled equals ``kernel="reference"``.
 """
 
 from __future__ import annotations
 
+import numpy
 import pytest
 
 from repro.arch.isa import HintBits, ShiftPolicy
 from repro.core.combined import CombinedPredictor
-from repro.core.simulator import simulate
+from repro.core.simulator import replay, simulate
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentContext
 from repro.kernels import (
     KERNEL_MODES,
     has_fast_kernel,
-    numpy_available,
-    try_fast_predictions,
+    try_fast_replay,
     try_fast_simulate,
     validate_kernel_mode,
 )
-from repro.profiling.accuracy import _measure_accuracy_scalar, measure_accuracy
-from repro.profiling.collision_profile import (
-    _fast_collision_records,
-    _measure_collision_involvement_scalar,
-    measure_collision_involvement,
-)
+from repro.profiling.accuracy import measure_accuracy
+from repro.profiling.collision_profile import measure_collision_involvement
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.bimode import BiModePredictor
 from repro.predictors.collisions import CollisionCounts
@@ -46,8 +45,6 @@ from repro.predictors.sizing import make_predictor
 from repro.staticpred.hints import HintAssignment
 from repro.utils.rng import derive_seed, rng_from_seed
 from repro.workloads.trace import BranchTrace
-
-numpy = pytest.importorskip("numpy")
 
 
 def random_trace(seed: int, length: int, sites: int = 37) -> BranchTrace:
@@ -130,15 +127,22 @@ def observable_state(predictor) -> dict:
     return state
 
 
-def fast_simulate(monkeypatch, trace, predictor, **kwargs):
-    """``simulate(kernel="fast")`` with the reference loop disabled, so
-    a silent fallback fails the test instead of passing it."""
+def without_reference_loop(monkeypatch, run, *args, **kwargs):
+    """``run(*args, kernel="auto", **kwargs)`` with the reference loop
+    disabled, so a silent fallback fails the test instead of passing
+    it."""
     def forbidden(*args):
         raise AssertionError("the reference loop ran; no fast path taken")
 
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.simulator._reference_loop", forbidden)
-        return simulate(trace, predictor, kernel="fast", **kwargs)
+        return run(*args, kernel="auto", **kwargs)
+
+
+def fast_simulate(monkeypatch, trace, predictor, **kwargs):
+    """``simulate(kernel="auto")`` with the reference loop disabled."""
+    return without_reference_loop(monkeypatch, simulate, trace, predictor,
+                                  **kwargs)
 
 
 def assert_bit_identical(factory, trace, warm_seed=None):
@@ -149,7 +153,7 @@ def assert_bit_identical(factory, trace, warm_seed=None):
         warm_up(reference, warm_seed)
         warm_up(fast, warm_seed)
     result_ref = simulate(trace, reference, kernel="reference")
-    mispredictions = try_fast_simulate(trace, fast, require=True)
+    mispredictions = try_fast_simulate(trace, fast)
     assert mispredictions is not None, "fast kernel unexpectedly missing"
     assert mispredictions == result_ref.mispredictions
     assert observable_state(fast) == observable_state(reference)
@@ -233,8 +237,7 @@ class TestBitIdentity:
         for seed in seeds:
             trace = random_trace(seed, 300)
             result = simulate(trace, reference, kernel="reference")
-            assert try_fast_simulate(trace, fast, require=True) \
-                == result.mispredictions
+            assert try_fast_simulate(trace, fast) == result.mispredictions
         assert observable_state(fast) == observable_state(reference)
 
     @pytest.mark.parametrize("factory", HYBRID_FAMILIES)
@@ -245,14 +248,13 @@ class TestBitIdentity:
         for seed in (derive_seed(99, "hybrid-chain", i) for i in range(3)):
             trace = random_trace(seed, 5000)
             result = simulate(trace, reference, kernel="reference")
-            assert try_fast_simulate(trace, fast, require=True) \
-                == result.mispredictions
+            assert try_fast_simulate(trace, fast) == result.mispredictions
             assert observable_state(fast) == observable_state(reference)
 
     def test_simulate_fast_equals_reference_result(self, gcc_trace):
         for name in ("bimodal", "gshare", "ghist", "bimode", "2bcgskew"):
             fast = simulate(gcc_trace, make_predictor(name, 2048),
-                            kernel="fast")
+                            kernel="auto")
             reference = simulate(gcc_trace, make_predictor(name, 2048),
                                  kernel="reference")
             assert fast == reference
@@ -296,7 +298,7 @@ class TestCombinedBitIdentity:
         expected = simulate(trace, reference, kernel="reference",
                             track_collisions=track)
         if track and isinstance(fast.dynamic, HYBRIDS):
-            result = simulate(trace, fast, kernel="fast",
+            result = simulate(trace, fast, kernel="auto",
                               track_collisions=True)
         else:
             result = fast_simulate(monkeypatch, trace, fast,
@@ -389,68 +391,128 @@ class TestCombinedBitIdentity:
                        None)
 
 
+def views_match(monkeypatch, view, factory, trace, warm_seed=None,
+                plain=lambda profile: profile.to_json()):
+    """``view(trace, predictor, kernel=...)`` under ``kernel="auto"``
+    with the reference loop disabled against ``kernel="reference"``:
+    the same profile (``plain`` must keep the mapping's order) and the
+    same trained predictor state.  Returns the reference profile."""
+    fast, reference = factory(), factory()
+    if warm_seed is not None:
+        warm_up(fast, warm_seed)
+        warm_up(reference, warm_seed)
+    got = without_reference_loop(monkeypatch, view, trace, fast)
+    expected = view(trace, reference, kernel="reference")
+    assert plain(got) == plain(expected)
+    assert list(got.branches) == list(expected.branches)
+    assert observable_state(fast) == observable_state(reference)
+    return expected
+
+
+class TestReplay:
+    """The replay under every view: the kernel's per-event predictions
+    (and, tracked, its collision pairs) equal the reference loop's."""
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_predictions_match(self, factory, length, warm, monkeypatch):
+        seed = derive_seed(4321, "replay", length)
+        trace = random_trace(seed, length)
+        fast, reference = factory(), factory()
+        if warm:
+            warm_up(fast, seed + 1)
+            warm_up(reference, seed + 1)
+        got = without_reference_loop(monkeypatch, replay, trace, fast)
+        expected = replay(trace, reference, kernel="reference")
+        assert got.predictions.tolist() == expected.predictions.tolist()
+        assert got.outcomes.tolist() == expected.outcomes.tolist()
+        assert got.mispredictions == expected.mispredictions
+        assert observable_state(fast) == observable_state(reference)
+
+    @pytest.mark.parametrize("factory", SCAN_FAMILIES)
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_tracked_collisions_match(self, factory, length, warm,
+                                      monkeypatch):
+        seed = derive_seed(4321, "tracked-replay", length)
+        trace = random_trace(seed, length)
+        fast, reference = factory(), factory()
+        if warm:
+            warm_up(fast, seed + 1)
+            warm_up(reference, seed + 1)
+        got = without_reference_loop(monkeypatch, replay, trace, fast,
+                                     track_collisions=True)
+        expected = replay(trace, reference, kernel="reference",
+                          track_collisions=True)
+        assert got.predictions.tolist() == expected.predictions.tolist()
+
+        def pairs(result):
+            return sorted(zip(*(column.tolist()
+                                for column in result.collisions)))
+
+        # The scan reports collisions in counter order, the tracker in
+        # trace order; a single-table lookup has one aggressor at most.
+        assert pairs(got) == pairs(expected)
+        assert observable_state(fast) == observable_state(reference)
+
+
 class TestAccuracyBitIdentity:
-    """measure_accuracy's vectorized path against the reference loop."""
+    """measure_accuracy on a kernel's replay against the reference loop."""
 
     @pytest.mark.parametrize("factory", FAMILIES)
     @pytest.mark.parametrize("length", LENGTHS)
     def test_accuracy_profiles_match(self, factory, length, monkeypatch):
-        seed = derive_seed(4321, "accuracy", length)
-        trace = random_trace(seed, length)
-        fast_predictor, ref_predictor = factory(), factory()
-
-        def forbidden(*args):
-            raise AssertionError("the scalar loop ran; no fast path taken")
-
-        with monkeypatch.context() as patch:
-            patch.setattr("repro.profiling.accuracy._measure_accuracy_scalar",
-                          forbidden)
-            fast = measure_accuracy(trace, fast_predictor)
-        reference = _measure_accuracy_scalar(trace, ref_predictor)
         # Identical per-branch counts AND first-occurrence insertion
         # order (to_json serializes the mapping order), plus the same
         # trained predictor state.
-        assert fast.to_json() == reference.to_json()
-        assert list(fast.branches) == list(reference.branches)
-        assert observable_state(fast_predictor) \
-            == observable_state(ref_predictor)
+        seed = derive_seed(4321, "accuracy", length)
+        views_match(monkeypatch, measure_accuracy, factory,
+                    random_trace(seed, length))
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_warm_accuracy_profiles_match(self, factory, length,
+                                          monkeypatch):
+        seed = derive_seed(4321, "accuracy-warm", length)
+        views_match(monkeypatch, measure_accuracy, factory,
+                    random_trace(seed, length), warm_seed=seed + 1)
 
     @pytest.mark.parametrize("factory", FAMILIES)
     def test_predictions_agree_with_simulate_counts(self, factory):
         seed = derive_seed(4321, "accuracy", "counts")
         trace = random_trace(seed, 700)
-        predictor = factory()
-        predictions = try_fast_predictions(trace, predictor, require=True)
-        assert predictions is not None
+        result = try_fast_replay(trace, factory())
+        assert result is not None
         _, outcomes = trace.arrays()
-        mispredicted = int(numpy.count_nonzero(predictions != outcomes))
-        result = simulate(trace, factory(), kernel="reference")
-        assert mispredicted == result.mispredictions
+        mispredicted = int(numpy.count_nonzero(result.predictions != outcomes))
+        reference = simulate(trace, factory(), kernel="reference")
+        assert mispredicted == result.mispredictions \
+            == reference.mispredictions
 
     def test_kernel_less_predictor_falls_back_to_the_loop(self):
         predictor = make_predictor("yags", 4096)
-        assert try_fast_predictions(random_trace(7, 50), predictor) is None
+        assert try_fast_replay(random_trace(7, 50), predictor) is None
         trace = random_trace(8, 400)
         fast = measure_accuracy(trace, make_predictor("yags", 4096))
-        reference = _measure_accuracy_scalar(
-            trace, make_predictor("yags", 4096)
-        )
+        reference = measure_accuracy(trace, make_predictor("yags", 4096),
+                                     kernel="reference")
         assert fast.to_json() == reference.to_json()
 
-    def test_gcc_hybrid_profiles_match(self, gcc_trace):
+    def test_gcc_hybrid_profiles_match(self, gcc_trace, monkeypatch):
         for name in HYBRID_NAMES:
-            fast = measure_accuracy(gcc_trace, make_predictor(name, 1024))
-            reference = _measure_accuracy_scalar(
-                gcc_trace, make_predictor(name, 1024))
-            assert fast.to_json() == reference.to_json()
+            views_match(monkeypatch, measure_accuracy,
+                        lambda: make_predictor(name, 1024), gcc_trace)
 
 
 class TestDispatch:
     def test_kernel_modes_validate(self):
+        assert KERNEL_MODES == ("auto", "reference")
         for mode in KERNEL_MODES:
             assert validate_kernel_mode(mode) == mode
-        with pytest.raises(ConfigurationError):
-            validate_kernel_mode("vectorized")
+        for retired in ("vectorized", "fast"):
+            with pytest.raises(ConfigurationError):
+                validate_kernel_mode(retired)
 
     def test_unknown_mode_rejected_by_simulate(self):
         with pytest.raises(ConfigurationError):
@@ -462,10 +524,9 @@ class TestDispatch:
         predictor = make_predictor("yags", 2048)
         assert not has_fast_kernel(predictor)
         assert try_fast_simulate(trace, predictor) is None
-        # kernel="fast" still runs (the knob requires numpy, not a
-        # kernel for every family) and matches the reference loop.
+        # kernel="auto" runs it on the reference loop.
         fast = simulate(trace, make_predictor("yags", 2048),
-                        kernel="fast")
+                        kernel="auto")
         reference = simulate(trace, make_predictor("yags", 2048),
                              kernel="reference")
         assert fast == reference
@@ -504,7 +565,7 @@ class TestDispatch:
         counts = CollisionCounts()
         assert try_fast_simulate(trace, predictor, collisions=counts) is None
         assert counts == CollisionCounts()
-        fast = simulate(trace, combined(), kernel="fast",
+        fast = simulate(trace, combined(), kernel="auto",
                         track_collisions=True)
         reference = simulate(trace, combined(), kernel="reference",
                              track_collisions=True)
@@ -531,10 +592,10 @@ class TestDispatch:
         assert counts == CollisionCounts()
         assert observable_state(predictor) == observable_state(build())
         if policy is None:
-            assert try_fast_predictions(trace, predictor,
-                                        return_collisions=True) is None
+            assert try_fast_replay(trace, predictor,
+                                   track_collisions=True) is None
             assert observable_state(predictor) == observable_state(build())
-        fast = simulate(trace, predictor, kernel="fast",
+        fast = simulate(trace, predictor, kernel="auto",
                         track_collisions=True)
         reference = simulate(trace, build(), kernel="reference",
                              track_collisions=True)
@@ -550,37 +611,18 @@ class TestDispatch:
         assert try_fast_simulate(random_trace(15, 50), predictor) is None
 
 
-class TestWithoutNumpy:
-    def test_auto_falls_back(self, monkeypatch):
-        monkeypatch.setattr("repro.kernels.numpy_available", lambda: False)
-        trace = random_trace(17, 300)
-        result = simulate(trace, BimodalPredictor(64), kernel="auto")
-        reference = simulate(trace, BimodalPredictor(64),
-                             kernel="reference")
-        assert result == reference
-
-    def test_fast_raises(self, monkeypatch):
-        monkeypatch.setattr("repro.kernels.numpy_available", lambda: False)
-        with pytest.raises(ConfigurationError, match="numpy"):
-            simulate(random_trace(19, 10), BimodalPredictor(64),
-                     kernel="fast")
-
-    def test_numpy_available_probe(self):
-        assert numpy_available() is True
-
-
 class TestExperimentContext:
     def test_cells_identical_under_fast_and_reference(self):
         """The figure-1 style flow is kernel-invariant end to end."""
         results = {}
-        for kernel in ("fast", "reference"):
+        for kernel in KERNEL_MODES:
             ctx = ExperimentContext(trace_length=4000, site_scale=0.02,
                                     seed=3, kernel=kernel)
             results[kernel] = [
                 ctx.run("gcc", "gshare", 1024),
                 ctx.run("gcc", "bimodal", 1024, scheme="static_95"),
             ]
-        assert results["fast"] == results["reference"]
+        assert results["auto"] == results["reference"]
 
     def test_kernel_knob_pickles(self):
         import pickle
@@ -596,11 +638,36 @@ class TestExperimentContext:
         with pytest.raises(ConfigurationError):
             ExperimentContext(trace_length=1000, kernel="warp")
 
+    def test_reference_context_selects_on_the_reference_loop(
+            self, monkeypatch):
+        """``kernel="reference"`` reaches phase one: with every kernel
+        replay disabled, the accuracy and collision views behind a
+        ``static_acc`` and a ``static_collision`` cell still run, on the
+        reference loop, and the cells equal their ``auto`` results."""
+        from repro.kernels import _KERNELS
+        from repro.runner.cells import Cell, execute_cell
+
+        cells = [Cell.make("gcc", "gshare", 1024, scheme=scheme)
+                 for scheme in ("static_acc", "static_collision")]
+        knobs = dict(trace_length=3000, site_scale=0.02, seed=5)
+        auto = ExperimentContext(kernel="auto", **knobs)
+        expected = [execute_cell(auto, cell).to_dict() for cell in cells]
+
+        def forbidden(*args):
+            raise AssertionError("a kernel replay ran under kernel='reference'")
+
+        for family in list(_KERNELS):
+            monkeypatch.setitem(_KERNELS, family, forbidden)
+        reference = ExperimentContext(kernel="reference", **knobs)
+        assert [execute_cell(reference, cell).to_dict()
+                for cell in cells] == expected
+
 
 class TestCollisionVectorization:
-    """The vectorized collision-involvement path is bit-identical to the
-    scalar reference loop — same per-branch charges AND the same dict
-    insertion order (selection schemes iterate profiles in order)."""
+    """measure_collision_involvement on the scan's collision pairs
+    against the reference loop's tag tracker — same per-branch charges
+    AND the same dict insertion order (selection schemes iterate
+    profiles in order)."""
 
     FAMILIES = [
         lambda: BimodalPredictor(64),
@@ -615,49 +682,88 @@ class TestCollisionVectorization:
             for addr, rec in profile.branches.items()
         ]
 
+    def check(self, monkeypatch, factory, trace, warm_seed=None):
+        expected = views_match(monkeypatch, measure_collision_involvement,
+                               factory, trace, warm_seed, self.as_plain)
+        assert (expected.program_name, expected.input_name) \
+            == (trace.program_name, trace.input_name)
+        return expected
+
     @pytest.mark.parametrize("factory", FAMILIES)
     @pytest.mark.parametrize("length", [0, 1, 2, 500, 3000])
-    def test_fast_matches_scalar(self, factory, length):
+    def test_fast_matches_scalar(self, factory, length, monkeypatch):
         trace = random_trace(derive_seed(99, "collisions", length), length)
-        fast = measure_collision_involvement(trace, factory())
-        scalar = _measure_collision_involvement_scalar(trace, factory())
-        assert self.as_plain(fast) == self.as_plain(scalar)
-        assert (fast.program_name, fast.input_name, fast.predictor_name) \
-            == (scalar.program_name, scalar.input_name, scalar.predictor_name)
+        self.check(monkeypatch, factory, trace)
+
+    @pytest.mark.parametrize("factory", SCAN_FAMILIES)
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_scan_families_match(self, factory, length, warm, monkeypatch):
+        seed = derive_seed(99, "collisions-scan", length)
+        self.check(monkeypatch, factory, random_trace(seed, length),
+                   seed + 1 if warm else None)
 
     @pytest.mark.parametrize("factory", FAMILIES)
     def test_fast_path_is_taken(self, factory):
         trace = random_trace(derive_seed(99, "collisions", "taken"), 400)
-        records = _fast_collision_records(trace, factory())
-        assert records is not None
-        scalar = _measure_collision_involvement_scalar(trace, factory())
-        assert list(records) == list(scalar.branches)
+        result = try_fast_replay(trace, factory(), track_collisions=True)
+        assert result is not None and result.collisions is not None
 
     def test_kernel_less_predictor_falls_back(self):
         # yags has no kernel; 2bcgskew's kernel declines to track.
         trace = random_trace(derive_seed(99, "collisions", "fallback"), 300)
         for name in ("yags", "2bcgskew"):
             predictor = make_predictor(name, 2048)
-            assert _fast_collision_records(trace, predictor) is None
+            assert try_fast_replay(trace, predictor,
+                                   track_collisions=True) is None
             profile = measure_collision_involvement(trace, predictor)
-            scalar = _measure_collision_involvement_scalar(
-                trace, make_predictor(name, 2048))
-            assert self.as_plain(profile) == self.as_plain(scalar)
+            reference = measure_collision_involvement(
+                trace, make_predictor(name, 2048), kernel="reference")
+            assert self.as_plain(profile) == self.as_plain(reference)
+            assert profile.total_destructive > 0
 
     def test_out_of_limits_predictor_falls_back(self):
         # Counter widths past the kernels' int32 headroom guard must
-        # fall back to the scalar loop, not crash or diverge.
+        # fall back to the reference loop, not crash or diverge.
         trace = random_trace(derive_seed(99, "collisions", "large"), 100)
         wide = lambda: BimodalPredictor(64, counter_bits=17)  # noqa: E731
-        assert _fast_collision_records(trace, wide()) is None
+        assert try_fast_replay(trace, wide(), track_collisions=True) is None
         profile = measure_collision_involvement(trace, wide())
-        scalar = _measure_collision_involvement_scalar(trace, wide())
-        assert self.as_plain(profile) == self.as_plain(scalar)
+        reference = measure_collision_involvement(trace, wide(),
+                                                  kernel="reference")
+        assert self.as_plain(profile) == self.as_plain(reference)
 
-    def test_gcc_trace_end_to_end(self, gcc_trace):
-        fast = measure_collision_involvement(gcc_trace,
-                                             GsharePredictor(256))
-        scalar = _measure_collision_involvement_scalar(gcc_trace,
-                                                       GsharePredictor(256))
-        assert self.as_plain(fast) == self.as_plain(scalar)
-        assert fast.total_destructive == scalar.total_destructive
+    def test_gcc_trace_end_to_end(self, gcc_trace, monkeypatch):
+        expected = self.check(monkeypatch, lambda: GsharePredictor(256),
+                              gcc_trace)
+        assert expected.total_destructive > 0
+
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_charging_rule_by_hand(self, kernel):
+        """A collision charges its victim AND its aggressor, once each,
+        destructive when the victim was mispredicted.
+
+        A 4-entry bimodal table starts weakly not-taken (1 of 0..3).
+        A and B share counter 0; C has counter 1 to itself.
+          A taken:     counter 1 -> predict not-taken (miss), no tag yet
+          B taken:     counter 2 -> taken (hit), tag A: constructive
+          A not-taken: counter 3 -> taken (miss), tag B: destructive
+          C not-taken: counter 1 -> not-taken (hit), no tag yet
+        """
+        a, b, c = 0x1000, 0x1000 + 4 * 4, 0x1004
+        trace = BranchTrace(program_name="hand", input_name="ref")
+        for address, taken in ((a, True), (b, True), (a, False),
+                               (c, False)):
+            trace.site_indices.append(0)
+            trace.addresses.append(address)
+            trace.outcomes.append(taken)
+            trace.gaps.append(1)
+        profile = measure_collision_involvement(
+            trace, BimodalPredictor(4), kernel=kernel)
+        # (address, executions, destructive, constructive), in order of
+        # first execution.
+        assert self.as_plain(profile) == [
+            (a, 2, 1, 1),
+            (b, 1, 1, 1),
+            (c, 1, 0, 0),
+        ]

@@ -26,6 +26,7 @@ import pytest
 from repro.arch.isa import ShiftPolicy
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.common import ENV_KNOBS, ExperimentContext
+from repro.kernels import KERNEL_MODES
 from repro.runner.cache import ResultCache
 from repro.runner.cells import _KEY_EXEMPT, Cell
 from repro.utils.env import env_float, env_int, env_str
@@ -92,7 +93,7 @@ class TestCacheKeySoundness:
         # be readable under every other.
         cache = ResultCache(str(tmp_path))
         base = key_of(cache, ExperimentContext(**BASE_CTX))
-        for kernel in ("auto", "fast", "reference"):
+        for kernel in KERNEL_MODES:
             assert key_of(
                 cache, ExperimentContext(**BASE_CTX, kernel=kernel)
             ) == base

@@ -136,6 +136,57 @@ class TestDet002:
         det = [f for f in findings if f.rule == "DET002"]
         assert len(det) == 2
 
+    def test_clock_alias_assignment_triggers(self, tmp_path):
+        # The reference hides every later read: ``_clock()`` is a bare
+        # name call the call check cannot resolve.
+        findings = lint_snippet(tmp_path, """
+            import time
+
+            _clock = time.perf_counter
+
+            def elapsed(start):
+                return _clock() - start
+        """)
+        det = [f for f in findings if f.rule == "DET002"]
+        assert [f.line for f in det] == [4]  # the assignment's line
+        assert "referenced, not called" in det[0].message
+
+    def test_clock_as_default_factory_triggers(self, tmp_path):
+        findings = lint_snippet(tmp_path, """
+            import time
+            from dataclasses import dataclass, field
+
+            @dataclass
+            class Stamp:
+                at: float = field(default_factory=time.monotonic)
+        """)
+        det = [f for f in findings if f.rule == "DET002"]
+        assert [f.line for f in det] == [7]
+
+    def test_module_alias_call_triggers(self, tmp_path):
+        findings = lint_snippet(tmp_path, """
+            import time as t
+            from datetime import datetime as dt
+
+            def stamp():
+                return t.time(), dt.now()
+        """)
+        det = [f for f in findings if f.rule == "DET002"]
+        assert len(det) == 2
+        assert any("time.time()" in f.message for f in det)
+        assert any("datetime.datetime.now()" in f.message for f in det)
+
+    def test_non_clock_references_are_clean(self, tmp_path):
+        findings = lint_snippet(tmp_path, """
+            import time as t
+
+            _sleep = t.sleep
+
+            def pause(seconds):
+                _sleep(seconds)
+        """)
+        assert "DET002" not in rules_hit(findings)
+
     def test_sorted_set_iteration_is_clean(self, tmp_path):
         findings = lint_snippet(tmp_path, """
             def emit(addresses):
